@@ -28,7 +28,12 @@ ESCAPE_GO_VERSION ?= go1.24
 # compiled snapshot, every compiled family, bit-identical), and the flat
 # package fuzzes the v3 container parser (bad offsets, overlapping
 # sections, oversize lengths must reject cleanly, never read OOB).
+# The serve package pins its strict request parsers to encoding/json
+# (same result and error text for every body and stream line) and
+# sends raw bodies through both serving handlers (no panic; valid JSON
+# or a 4xx).
 URLX_FUZZ := FuzzParseConsistency FuzzNormalizeInto FuzzHostAgainstNetURL
+SERVE_FUZZ := FuzzDecodeClassify FuzzStreamLine FuzzClassifyHandler FuzzStreamHandler
 
 # The committed public API surface: declaration lines distilled from
 # `go doc -all` (sections start at CONSTANTS/...; doc prose is indented
@@ -123,6 +128,9 @@ fuzz-smoke:
 	done
 	$(GO) test . -run NONE -fuzz FuzzSnapshotEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/modelfile/flat/ -run NONE -fuzz FuzzFlatSections -fuzztime $(FUZZTIME)
+	@for target in $(SERVE_FUZZ); do \
+		$(GO) test ./internal/serve/ -run NONE -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) || exit 1; \
+	done
 
 api:
 	@mkdir -p api
@@ -143,6 +151,7 @@ api-check:
 
 bench:
 	$(GO) test -run NONE -bench 'Predict|Classify|Batcher|Extract|ParseURL|Normalize' -benchmem .
+	$(GO) test -run NONE -bench . -benchmem ./internal/serve
 
 # The committed serving-trajectory benchmark: a self-hosted loadgen run
 # writing BENCH_<n>.json at the repo root (throughput, request latency

@@ -31,7 +31,8 @@ import (
 // returning a buffer does not itself allocate.
 type encBuf struct{ b []byte }
 
-// encBufPool recycles response encode buffers across requests.
+// encBufPool recycles response encode buffers, and /v1/classify's
+// request read buffers, across requests.
 var encBufPool = sync.Pool{New: func() any { return &encBuf{b: make([]byte, 0, 4096)} }}
 
 // maxPooledEncBuf caps what returns to the pool: a single huge batch

@@ -403,6 +403,23 @@ func countGoroutines() int {
 	return runtime.NumGoroutine()
 }
 
+// settledGoroutines returns the goroutine count once it has held
+// still for a few milliseconds (or after a second), so goroutines of
+// earlier tests that are still exiting do not inflate a baseline.
+func settledGoroutines() int {
+	deadline := time.Now().Add(time.Second)
+	n := countGoroutines()
+	for stable := 0; stable < 3 && time.Now().Before(deadline); {
+		time.Sleep(2 * time.Millisecond)
+		if m := countGoroutines(); m == n {
+			stable++
+		} else {
+			n, stable = m, 0
+		}
+	}
+	return n
+}
+
 // waitForGoroutines polls until the goroutine count drops to at most
 // want or the deadline passes, returning the last observed count.
 func waitForGoroutines(want int) int {
@@ -419,7 +436,7 @@ func waitForGoroutines(want int) int {
 // workers, Close reaps every one of them, and Close is idempotent.
 func TestEngineCloseReleasesWorkers(t *testing.T) {
 	snap, _ := snapshot(t)
-	before := countGoroutines()
+	before := settledGoroutines()
 	e := New(snap, Options{Workers: 8, CacheCapacity: 64})
 	e.ClassifyBatch(testURLs(100))
 	// Workers: 8 means caller + 7 pool goroutines.

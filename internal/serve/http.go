@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,14 +25,9 @@ const DefaultMaxBatch = 10000
 
 // streamChunk is the micro-batch size of the NDJSON stream: big enough
 // to fan out across workers, small enough to keep results flowing while
-// the client is still uploading its frontier.
+// the client is still uploading its frontier. A partial chunk is also
+// emitted before each read of the request body (see flushingReader).
 const streamChunk = 512
-
-// streamFlushInterval bounds how long a partial chunk may sit waiting
-// for more input. Without it, a client that sends a few lines and waits
-// for their results before sending more would deadlock against the
-// chunk-boundary batching.
-const streamFlushInterval = 50 * time.Millisecond
 
 // HandlerOptions tunes the HTTP front end.
 type HandlerOptions struct {
@@ -296,8 +292,8 @@ func (h *handler) classify(w http.ResponseWriter, r *http.Request) {
 	// materialised. /v1/stream is the unbounded-input endpoint, and it
 	// holds at most one micro-batch in memory.
 	body := http.MaxBytesReader(w, r.Body, int64(h.maxBatch)*maxURLBytes+4096)
-	var req classifyRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	req, err := decodeClassify(body)
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			httpError(w, http.StatusRequestEntityTooLarge,
@@ -362,7 +358,25 @@ func (h *handler) classify(w http.ResponseWriter, r *http.Request) {
 // mid-stream keeps answering this stream's lines and is closed when the
 // stream (and any other holder) lets go — in-flight work drains, it is
 // never cut off.
+//
+// A stream that ends early — a bad or over-long line — leaves the rest
+// of its upload unread. In full duplex, net/http drains such a body only
+// after the handler returns, and that drain's EOF starts a connection
+// read which races the read of the next request: a recovered "invalid
+// concurrent Body.Read call" panic and a dropped connection. So the
+// handler drains the body itself (Close reads up to 256 KiB of it, as
+// net/http would), after streamLines has returned: by then the results
+// and the in-band error line are on the wire, and the engine pin and
+// the in-flight gauge are released, so neither the client nor a reload
+// waits on the drain. The response ends once the drain does: when the
+// client ends its upload, or after 256 KiB more of it.
 func (h *handler) stream(w http.ResponseWriter, r *http.Request) {
+	defer r.Body.Close()
+	h.streamLines(w, r)
+}
+
+// streamLines answers a /v1/stream request; see stream.
+func (h *handler) streamLines(w http.ResponseWriter, r *http.Request) {
 	engine, _, release, ok := h.resolve(w, r)
 	if !ok {
 		return
@@ -415,105 +429,43 @@ func (h *handler) stream(w http.ResponseWriter, r *http.Request) {
 		return true
 	}
 
-	// A reader goroutine feeds lines so the batching loop can also wake
-	// on a timer and flush partial chunks; the scanner itself blocks in
-	// Read and could not honour a deadline. The done channel unblocks a
-	// pending send when the handler bails out early; a reader blocked in
-	// Scan is released by the server closing the request body.
-	type streamLine struct {
-		url string
-		err error
+	// fail ends the stream with an in-band error line. Pending results
+	// go first so output order still matches input order, and the line
+	// is flushed at once: the client may still be uploading.
+	fail := func(format string, args ...any) {
+		if emit() {
+			enc.Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+			rc.Flush()
+		}
 	}
-	lines := make(chan streamLine)
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		defer close(lines)
-		sc := bufio.NewScanner(r.Body)
-		sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-		lineNo := 0
-		send := func(l streamLine) bool {
-			select {
-			case lines <- l:
-				return true
-			case <-done:
-				return false
-			}
-		}
-		for sc.Scan() {
-			lineNo++
-			line := strings.TrimSpace(sc.Text())
-			if line == "" {
-				continue
-			}
-			url, err := parseStreamLine(line)
-			if err != nil {
-				send(streamLine{err: fmt.Errorf("line %d: %w", lineNo, err)})
-				return
-			}
-			if !send(streamLine{url: url}) {
-				return
-			}
-		}
-		if err := sc.Err(); err != nil {
-			send(streamLine{err: fmt.Errorf("reading stream: %w", err)})
-		}
-	}()
 
-	ticker := time.NewTicker(streamFlushInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case ln, ok := <-lines:
-			if !ok {
-				emit()
-				return
-			}
-			if ln.err != nil {
-				// Emit pending results first so output order still
-				// matches input order, then report the bad line in-band.
-				if emit() {
-					enc.Encode(map[string]string{"error": ln.err.Error()})
-				}
-				return
-			}
-			chunk = append(chunk, ln.url)
-			if len(chunk) >= streamChunk {
-				if !emit() {
-					return
-				}
-			}
-		case <-ticker.C:
-			if !emit() {
-				return
-			}
+	// Partial chunks go out before each body read (see flushingReader).
+	sc := bufio.NewScanner(&flushingReader{body: r.Body, emit: emit})
+	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
+			continue
+		}
+		url, err := streamLineURL(line)
+		if err != nil {
+			fail("line %d: %v", lineNo, err)
+			return
+		}
+		chunk = append(chunk, url)
+		if len(chunk) >= streamChunk && !emit() {
+			return
 		}
 	}
-}
-
-// parseStreamLine extracts the URL from one NDJSON input line.
-func parseStreamLine(line string) (string, error) {
-	switch line[0] {
-	case '{':
-		var obj struct {
-			URL string `json:"url"`
+	if err := sc.Err(); err != nil {
+		if !errors.Is(err, errResultsGone) {
+			fail("reading stream: %v", err)
 		}
-		if err := json.Unmarshal([]byte(line), &obj); err != nil {
-			return "", fmt.Errorf("invalid JSON object: %v", err)
-		}
-		if obj.URL == "" {
-			return "", fmt.Errorf(`object lacks a "url" field`)
-		}
-		return obj.URL, nil
-	case '"':
-		var s string
-		if err := json.Unmarshal([]byte(line), &s); err != nil {
-			return "", fmt.Errorf("invalid JSON string: %v", err)
-		}
-		return s, nil
-	default:
-		return line, nil
+		return
 	}
+	emit()
 }
 
 // listModels reports every live model version plus which name is the

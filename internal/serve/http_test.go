@@ -3,12 +3,15 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -252,8 +255,8 @@ func TestHTTPStreamFullDuplex(t *testing.T) {
 // TestHTTPStreamLockstepClient sends a few lines, keeps the request
 // body open, and insists on receiving those results before sending the
 // next round — the request/response cadence an adaptive crawler uses.
-// Partial chunks must flush on the idle timer, not wait for 512 lines
-// or EOF.
+// Partial chunks must go out before the handler waits on the body for
+// more lines, not wait for 512 lines or EOF.
 func TestHTTPStreamLockstepClient(t *testing.T) {
 	srv, _ := newTestServer(t, Options{CacheCapacity: 64})
 	pr, pw := io.Pipe()
@@ -339,6 +342,219 @@ func TestHTTPStreamBadLineReportsError(t *testing.T) {
 	}
 	if !strings.Contains(lines[1], "error") || !strings.Contains(lines[1], "line 2") {
 		t.Errorf("error line = %q", lines[1])
+	}
+}
+
+// TestHTTPStreamBadLineOnOpenUpload: a bad line in an upload that is
+// still open gets its in-band error at once, and by then the engine pin
+// and the model's in-flight gauge are released, so a reload need not
+// wait for the client. The response ends when the client ends its
+// upload, and the server logs nothing.
+func TestHTTPStreamBadLineOnOpenUpload(t *testing.T) {
+	snap, _ := snapshot(t)
+	e := New(snap, Options{Workers: 1})
+	defer e.Close()
+	res := &pinCounter{Resolver: Static(e, ModelInfo{Model: snap.Describe()})}
+	srv := httptest.NewUnstartedServer(NewHandler(res, HandlerOptions{}))
+	var serverLog bytes.Buffer
+	srv.Config.ErrorLog = log.New(&serverLog, "", 0)
+	srv.Start()
+	defer srv.Close()
+
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	go io.WriteString(pw, "http://www.wetter.de/eins\n{\"id\":7}\n")
+	resp, err := http.Post(srv.URL+"/v1/stream", "application/x-ndjson", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	lines := make(chan string)
+	go func() {
+		defer close(lines)
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			lines <- sc.Text()
+		}
+	}()
+	next := func() (string, bool) {
+		select {
+		case line, ok := <-lines:
+			return line, ok
+		case <-time.After(5 * time.Second):
+			t.Fatal("no answer within 5s while the upload is open")
+			return "", false
+		}
+	}
+	if line, _ := next(); !strings.Contains(line, "/eins") {
+		t.Fatalf("first line = %q, want the result for /eins", line)
+	}
+	var bad struct{ Error string }
+	if line, _ := next(); json.Unmarshal([]byte(line), &bad) != nil || bad.Error != `line 2: object lacks a "url" field` {
+		t.Fatalf("second line = %q, want the in-band error for line 2", line)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for (res.pins.Load() != 0 || e.Stats().InFlight() != 0) && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if p, n := res.pins.Load(), e.Stats().InFlight(); p != 0 || n != 0 {
+		t.Fatalf("after the error line: %d pins held, %d in flight; want both released", p, n)
+	}
+
+	pw.Close()
+	if line, ok := next(); ok {
+		t.Errorf("unexpected line %q after the error", line)
+	}
+	srv.Close() // waits for the connection, so the log is complete
+	if serverLog.Len() > 0 {
+		t.Errorf("server logged %q", serverLog.String())
+	}
+}
+
+// streamLines posts body to /v1/stream and returns the response lines.
+func streamLines(t *testing.T, url string, body io.Reader) []string {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/stream", "application/x-ndjson", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	var lines []string
+	for sc.Scan() {
+		lines = append(lines, sc.Text())
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return lines
+}
+
+// TestHTTPStreamLineTooLong: a line over the 1 MiB line limit ends the
+// stream with the results of the lines before it, then an in-band
+// read error. The unread rest of the body must not trip net/http's
+// concurrent-read panic on the connection afterwards.
+func TestHTTPStreamLineTooLong(t *testing.T) {
+	snap, _ := snapshot(t)
+	eng := New(snap, Options{})
+	defer eng.Close()
+	srv := httptest.NewUnstartedServer(NewHandler(Static(eng, ModelInfo{Model: snap.Describe()}), HandlerOptions{}))
+	var serverLog bytes.Buffer
+	srv.Config.ErrorLog = log.New(&serverLog, "", 0)
+	srv.Start()
+	body := "http://www.wetter.de/eins\n\"http://www.annonces.fr/deux\"\n" +
+		"http://long.de/" + strings.Repeat("x", 1<<20) + "\nhttp://never-reached.de\n"
+	lines := streamLines(t, srv.URL, strings.NewReader(body))
+	srv.Close() // waits for the connection, so the log is complete
+	if serverLog.Len() > 0 {
+		t.Errorf("server logged %q", serverLog.String())
+	}
+	if len(lines) != 3 {
+		t.Fatalf("got %d lines, want two results and an error: %.200q", len(lines), lines)
+	}
+	for i, want := range []string{"http://www.wetter.de/eins", "http://www.annonces.fr/deux"} {
+		var r resultJSON
+		if err := json.Unmarshal([]byte(lines[i]), &r); err != nil || r.URL != want {
+			t.Errorf("line %d = %q (%v), want the result for %s", i+1, lines[i], err, want)
+		}
+	}
+	var e struct{ Error string }
+	if err := json.Unmarshal([]byte(lines[2]), &e); err != nil || !strings.HasPrefix(e.Error, "reading stream: ") {
+		t.Errorf("last line = %q, want a reading stream: error", lines[2])
+	}
+}
+
+// TestHTTPStreamCRLFAndUnterminatedLine: CRLF line endings, and a last
+// line without a newline, classify exactly like LF-terminated lines.
+func TestHTTPStreamCRLFAndUnterminatedLine(t *testing.T) {
+	srv, _ := newTestServer(t, Options{})
+	lf := "http://www.wetter.de/eins\n\"http://www.annonces.fr/deux\"\n" +
+		"{\"url\":\"http://www.notizie.it/tre\"}\nhttp://www.noticias.es/cuatro\n"
+	want := streamLines(t, srv.URL, strings.NewReader(lf))
+	if len(want) != 4 {
+		t.Fatalf("LF upload gave %d lines, want 4: %q", len(want), want)
+	}
+	for name, body := range map[string]string{
+		"CRLF":               strings.ReplaceAll(lf, "\n", "\r\n"),
+		"unterminated":       strings.TrimSuffix(lf, "\n"),
+		"CRLF, unterminated": strings.TrimSuffix(strings.ReplaceAll(lf, "\n", "\r\n"), "\r\n"),
+	} {
+		got := streamLines(t, srv.URL, strings.NewReader(body))
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s upload answered\n%q\nwant the LF answers\n%q", name, got, want)
+		}
+	}
+}
+
+// pinCounter counts the engine pins a Resolver hands out and has not
+// had released.
+type pinCounter struct {
+	Resolver
+	pins atomic.Int64
+}
+
+func (p *pinCounter) Resolve(name string) (*Engine, ModelInfo, func(), error) {
+	e, info, release, err := p.Resolver.Resolve(name)
+	if err != nil {
+		return e, info, release, err
+	}
+	p.pins.Add(1)
+	return e, info, func() { p.pins.Add(-1); release() }, nil
+}
+
+// TestHTTPStreamClientDisconnect: a client that goes away mid-upload,
+// with the handler waiting on its body, ends the handler with the
+// registry pin released and no goroutine left behind.
+func TestHTTPStreamClientDisconnect(t *testing.T) {
+	snap, _ := snapshot(t)
+	e := New(snap, Options{Workers: 1})
+	defer e.Close()
+	res := &pinCounter{Resolver: Static(e, ModelInfo{Model: snap.Describe()})}
+	srv := httptest.NewServer(NewHandler(res, HandlerOptions{}))
+	defer srv.Close()
+	transport := &http.Transport{}
+	defer transport.CloseIdleConnections()
+	before := settledGoroutines()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/stream", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go io.WriteString(pw, "http://www.wetter.de/eins\nhttp://www.wetter.de/zw")
+	resp, err := (&http.Client{Transport: transport}).Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first result arrives while the upload is still open: the
+	// handler is now waiting on the body for the rest of line two.
+	line, err := bufio.NewReader(resp.Body).ReadString('\n')
+	if err != nil || !strings.Contains(line, "/eins") {
+		t.Fatalf("first result = %q, %v", line, err)
+	}
+	if n := res.pins.Load(); n != 1 {
+		t.Fatalf("%d pins mid-stream, want 1", n)
+	}
+	cancel()
+	resp.Body.Close()
+	pw.Close()
+	transport.CloseIdleConnections()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for res.pins.Load() != 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := res.pins.Load(); n != 0 {
+		t.Fatalf("%d pins held after the client went away", n)
+	}
+	if n := waitForGoroutines(before); n > before {
+		t.Errorf("%d goroutines after the client went away, want <= %d", n, before)
 	}
 }
 
