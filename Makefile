@@ -25,9 +25,11 @@ ESCAPE_GO_VERSION ?= go1.24
 # Fuzz targets guarding the urlx normalization contract; go test only
 # accepts one -fuzz pattern per invocation, so the smoke loops. The root
 # package adds the snapshot-equivalence differential (classifier vs
-# compiled snapshot, every compiled family, bit-identical), and the flat
+# compiled snapshot, every compiled family, bit-identical), the flat
 # package fuzzes the v3 container parser (bad offsets, overlapping
-# sections, oversize lengths must reject cleanly, never read OOB).
+# sections, oversize lengths must reject cleanly, never read OOB), and
+# the modelfile package fuzzes ReadBytes, the reader every model file
+# goes through (an error or exactly one model, never a panic).
 # The serve package pins its strict request parsers to encoding/json
 # (same result and error text for every body and stream line) and
 # sends raw bodies through both serving handlers (no panic; valid JSON
@@ -128,6 +130,7 @@ fuzz-smoke:
 	done
 	$(GO) test . -run NONE -fuzz FuzzSnapshotEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/modelfile/flat/ -run NONE -fuzz FuzzFlatSections -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/modelfile/ -run NONE -fuzz FuzzReadModel -fuzztime $(FUZZTIME)
 	@for target in $(SERVE_FUZZ); do \
 		$(GO) test ./internal/serve/ -run NONE -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done

@@ -724,7 +724,7 @@ func BenchmarkFacadeTrainAndClassify(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = clf.Languages("http://www.wetter.de/bericht")
+		_ = clf.Classify("http://www.wetter.de/bericht").Languages()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"urllangid"
 	"urllangid/internal/cascade"
 	"urllangid/internal/datagen"
+	"urllangid/internal/modelfile"
 	"urllangid/internal/registry"
 	"urllangid/internal/serve"
 )
@@ -50,6 +52,23 @@ func writeModelFiles(t *testing.T, seed uint64) (snapPath, modelPath string) {
 	}
 	sf.Close()
 	return snapPath, modelPath
+}
+
+// redeploy replaces the served file dst with a copy of src by rename,
+// the deploy contract for a file a server may have mapped.
+func redeploy(t *testing.T, dst, src string) {
+	t.Helper()
+	data, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = modelfile.WriteFile(dst, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // newRegistryServer stands up the same registry + handler stack run()
@@ -252,13 +271,7 @@ func TestMultiModelRoutingAndHotReload(t *testing.T) {
 
 	// Redeploy canary's file with prod's model, reload over HTTP: the
 	// canary route must answer with the new model immediately.
-	data, err := os.ReadFile(snapA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(snapB, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	redeploy(t, snapB, snapA)
 	resp, err = http.Post(srv.URL+"/v1/models/canary/reload", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -338,13 +351,7 @@ func TestReloadAll(t *testing.T) {
 	}
 
 	// Redeploy b, delete a: one swap, one error, nothing stops serving.
-	data, err := os.ReadFile(snapA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(snapB, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	redeploy(t, snapB, snapA)
 	os.Remove(snapA)
 	log.Reset()
 	reloadAll(reg, &log)

@@ -229,15 +229,7 @@ func cmdTrain(args []string) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(*modelPath)
-	if err != nil {
-		return err
-	}
-	if err := clf.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := modelfile.WriteFile(*modelPath, clf.Save); err != nil {
 		return err
 	}
 	fmt.Printf("trained %s on %d samples in %v -> %s\n",
@@ -273,15 +265,7 @@ func cmdCompile(args []string) error {
 	} else if *threshold != 0 {
 		return fmt.Errorf("compile: -threshold needs -calibrate")
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	if err := snap.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := modelfile.WriteFile(*out, snap.Save); err != nil {
 		return err
 	}
 	info, err := os.Stat(*out)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -315,6 +316,26 @@ func TestCmdInspectCorrupt(t *testing.T) {
 	if _, err := captureStdout(t, func() error { return cmdInspect([]string{"-verify", badPay}) }); err == nil {
 		t.Error("inspect -verify accepted a corrupt payload")
 	}
+
+	// A classifier in the retired version-1 container names the command
+	// that rewrites it.
+	trainTSV, _ := calibCorpus(t, dir)
+	model := filepath.Join(dir, "m.model")
+	if err := cmdTrain([]string{"-in", trainTSV, "-model", model}); err != nil {
+		t.Fatal(err)
+	}
+	v1, err := os.ReadFile(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1[8] = 1 // the container version byte follows the 8-byte magic
+	v1Path := filepath.Join(dir, "v1.model")
+	if err := os.WriteFile(v1Path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := captureStdout(t, func() error { return cmdInspect([]string{v1Path}) }); err == nil || !strings.Contains(err.Error(), `"urllangid train"`) {
+		t.Errorf("inspect of a version-1 classifier = %v, want an error naming urllangid train", err)
+	}
 }
 
 // calibCorpus writes a train and a held-out TSV into dir and returns
@@ -462,5 +483,64 @@ func TestCmdInspectUncalibrated(t *testing.T) {
 	}
 	if got, _, ok := snap.Classify("http://www.wetter-bericht.de/heute").Best(); !ok || got != urllangid.German {
 		t.Errorf("uncalibrated snapshot Classify = %v, %v", got, ok)
+	}
+}
+
+// TestCompileOverOpenSnapshot pins the redeploy contract: compiling to
+// the path a process has open and mapped replaces the file by rename,
+// so the open snapshot keeps its old bytes and answers exactly as
+// before. A rewrite in place would change those answers, or fault on
+// pages past the new end of file; SetPanicOnFault turns such a fault
+// into a panic this test recovers and reports.
+func TestCompileOverOpenSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	trainTSV, _ := calibCorpus(t, dir)
+	nb, tld := filepath.Join(dir, "nb.model"), filepath.Join(dir, "tld.model")
+	if err := cmdTrain([]string{"-in", trainTSV, "-model", nb}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdTrain([]string{"-algo", "cctld", "-model", tld}); err != nil {
+		t.Fatal(err)
+	}
+	live := filepath.Join(dir, "live.snapshot")
+	if err := cmdCompile([]string{"-model", nb, "-out", live}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := urllangid.OpenFile(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := m.(*urllangid.Snapshot)
+	defer snap.Close()
+	if err := snap.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	probes := []string{
+		"http://www.wetter-seite7.de/bericht7",
+		"http://www.recherche3.fr/produit3",
+		"http://www.weather5.com/report5",
+		"http://www.tienda9.es/oferta9",
+		"http://www.notizie2.it/calcio2",
+	}
+	before := make([]urllangid.Result, len(probes))
+	for i, u := range probes {
+		before[i] = snap.Classify(u)
+	}
+
+	if err := cmdCompile([]string{"-model", tld, "-out", live}); err != nil {
+		t.Fatal(err)
+	}
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	for i, u := range probes {
+		got, fault := func() (r urllangid.Result, fault any) {
+			defer func() { fault = recover() }()
+			return snap.Classify(u), nil
+		}()
+		if fault != nil {
+			t.Fatalf("open snapshot faulted after its file was recompiled: %v", fault)
+		}
+		if got != before[i] {
+			t.Errorf("Classify(%q) changed after its file was recompiled: %v, was %v", u, got.Scores(), before[i].Scores())
+		}
 	}
 }

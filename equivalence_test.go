@@ -1,16 +1,14 @@
 package urllangid_test
 
-// The golden old-API/new-API equivalence matrix: for every Algorithm ×
-// FeatureSet that trains from the tiny fixture corpus (plus the
-// training-free baselines), the deprecated per-URL methods and the
-// Result accessors must be bit-identical — on the Classifier, on its
-// compiled Snapshot, and on both after a Save/Open round-trip. This is
-// the contract that lets current callers migrate method-by-method
-// without a single score changing.
+// The golden equivalence matrix: for every Algorithm × FeatureSet that
+// trains from the tiny fixture corpus (plus the training-free
+// baselines), the Classifier, its compiled Snapshot, and both after a
+// Save/Open round-trip classify bit-identically, each Result's decision
+// bits agree with its score signs, and ClassifyBatch agrees with
+// Classify.
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"urllangid"
@@ -35,58 +33,26 @@ var equivalenceURLs = []string{
 	"::::",
 }
 
-// assertOldNewEquivalent checks every deprecated method against its
-// Result accessor on one model.
-func assertOldNewEquivalent(t *testing.T, label string, m urllangid.Model) {
+// assertResultsConsistent checks, on one model, that every Result's
+// decision bits agree with its score signs and that ClassifyBatch
+// returns exactly the per-URL Classify results.
+func assertResultsConsistent(t *testing.T, label string, m urllangid.Model) {
 	t.Helper()
-	type oldAPI interface {
-		Predictions(string) []urllangid.Prediction
-		Languages(string) []urllangid.Language
-		Is(string, urllangid.Language) bool
-		Best(string) (urllangid.Language, float64, bool)
-		PredictionsBatch([]string) [][]urllangid.Prediction
-	}
-	old, ok := m.(oldAPI)
-	if !ok {
-		t.Fatalf("%s: model lost its deprecated compatibility surface", label)
-	}
 	for _, u := range equivalenceURLs {
 		r := m.Classify(u)
-		if got, want := r.Predictions(), old.Predictions(u); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: Predictions(%q): new %v, old %v", label, u, got, want)
-		}
-		if got, want := r.Languages(), old.Languages(u); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: Languages(%q): new %v, old %v", label, u, got, want)
-		}
-		gl, gs, ga := r.Best()
-		wl, ws, wa := old.Best(u)
-		if gl != wl || gs != ws || ga != wa {
-			t.Fatalf("%s: Best(%q): new %v/%v/%v, old %v/%v/%v", label, u, gl, gs, ga, wl, ws, wa)
-		}
-		for li := 0; li <= urllangid.NumLanguages; li++ { // one past the end: invalid
-			l := urllangid.Language(li)
-			if got, want := r.Is(l), old.Is(u, l); got != want {
-				t.Fatalf("%s: Is(%q, %v): new %v, old %v", label, u, l, got, want)
-			}
-		}
-		// Decision bits must agree with score signs.
 		for li, s := range r.Scores() {
 			if r.Is(urllangid.Language(li)) != (s >= 0) {
 				t.Fatalf("%s: %q decision bit disagrees with score %v", label, u, s)
 			}
 		}
 	}
-	newBatch := m.ClassifyBatch(equivalenceURLs)
-	oldBatch := old.PredictionsBatch(equivalenceURLs)
-	if len(newBatch) != len(equivalenceURLs) || len(oldBatch) != len(equivalenceURLs) {
-		t.Fatalf("%s: batch lengths %d/%d", label, len(newBatch), len(oldBatch))
+	batch := m.ClassifyBatch(equivalenceURLs)
+	if len(batch) != len(equivalenceURLs) {
+		t.Fatalf("%s: batch length %d", label, len(batch))
 	}
 	for i, u := range equivalenceURLs {
-		if newBatch[i] != m.Classify(u) {
+		if batch[i] != m.Classify(u) {
 			t.Fatalf("%s: ClassifyBatch[%d] differs from Classify(%q)", label, i, u)
-		}
-		if !reflect.DeepEqual(oldBatch[i], newBatch[i].Predictions()) {
-			t.Fatalf("%s: PredictionsBatch[%d] differs from ClassifyBatch", label, i)
 		}
 	}
 }
@@ -156,8 +122,8 @@ func TestGoldenEquivalenceMatrix(t *testing.T) {
 				if want := wantMode(algo, feat); snap.Mode() != want {
 					t.Fatalf("%s compiled to mode %q, want %q", name, snap.Mode(), want)
 				}
-				assertOldNewEquivalent(t, name+"/classifier", clf)
-				assertOldNewEquivalent(t, name+"/snapshot", snap)
+				assertResultsConsistent(t, name+"/classifier", clf)
+				assertResultsConsistent(t, name+"/snapshot", snap)
 				assertModelsIdentical(t, name+"/classifier-vs-snapshot", clf, snap)
 				assertSurvivesSaveOpen(t, name, clf, snap)
 			})
@@ -169,12 +135,12 @@ func TestGoldenEquivalenceMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		label := clf.Describe()
-		assertOldNewEquivalent(t, label+"/classifier", clf)
+		assertResultsConsistent(t, label+"/classifier", clf)
 		snap := clf.Compile()
 		if !snap.Compiled() || snap.Mode() != "tld" {
 			t.Fatalf("%s compiled = %v mode %q, want the tld mode", label, snap.Compiled(), snap.Mode())
 		}
-		assertOldNewEquivalent(t, label+"/snapshot", snap)
+		assertResultsConsistent(t, label+"/snapshot", snap)
 		assertModelsIdentical(t, label+"/classifier-vs-snapshot", clf, snap)
 		assertSurvivesSaveOpen(t, label, clf, snap)
 	}

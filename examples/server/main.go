@@ -45,6 +45,7 @@ import (
 
 	"urllangid"
 	"urllangid/internal/datagen"
+	"urllangid/internal/modelfile"
 	"urllangid/internal/registry"
 	"urllangid/internal/serve"
 )
@@ -266,16 +267,11 @@ func main() {
 	}
 }
 
-// deploy writes a model to its serving path, as a deploy pipeline would.
+// deploy writes a model to its serving path by rename, as a deploy
+// pipeline must: the server keeps the old file mapped until the reload
+// drains it.
 func deploy(path string, m urllangid.Model) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := m.Save(f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := modelfile.WriteFile(path, m.Save); err != nil {
 		log.Fatal(err)
 	}
 }

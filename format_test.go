@@ -2,11 +2,9 @@ package urllangid_test
 
 // Cold-start contract of the v3 flat container, measured through the
 // public surface: OpenFile mmaps a v3 file in microseconds regardless
-// of model size, the mapped snapshot classifies bit-identically to the
-// v2 gob of the same model at 0 allocs/op, and v2 files keep loading
-// through the same entry points. BenchmarkOpenV2/BenchmarkOpenV3 are
-// the headline pair (the gob path decodes every dictionary entry; the
-// flat path only validates the section directory).
+// of model size (BenchmarkOpenV3: the open only validates the section
+// directory), and the mapped snapshot classifies bit-identically to the
+// in-memory snapshot it was written from at 0 allocs/op.
 
 import (
 	"fmt"
@@ -31,9 +29,7 @@ var (
 
 // coldStartSnapshot trains the largest model the test suite carries —
 // an NB/word system over 3000 URLs per language, whose dictionary
-// dominates both file formats — once for all cold-start tests. It goes
-// through internal/core so the same snapshot can be written in both
-// wire formats.
+// dominates the file — once for all cold-start tests.
 func coldStartSnapshot(tb testing.TB) *compiled.Snapshot {
 	tb.Helper()
 	coldOnce.Do(func() {
@@ -54,22 +50,10 @@ func coldStartSnapshot(tb testing.TB) *compiled.Snapshot {
 	return coldSnap
 }
 
-// writeFormats writes the same snapshot as a v2 gob file and a v3 flat
-// file under dir, returning both paths.
-func writeFormats(tb testing.TB, dir string, snap *compiled.Snapshot) (v2, v3 string) {
+// writeV3 writes snap as a v3 flat file under dir and returns its path.
+func writeV3(tb testing.TB, dir string, snap *compiled.Snapshot) string {
 	tb.Helper()
-	v2 = filepath.Join(dir, "model.v2.snapshot")
-	v3 = filepath.Join(dir, "model.v3.snapshot")
-	f2, err := os.Create(v2)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := modelfile.WriteSnapshotV2(f2, snap); err != nil {
-		tb.Fatal(err)
-	}
-	if err := f2.Close(); err != nil {
-		tb.Fatal(err)
-	}
+	v3 := filepath.Join(dir, "model.v3.snapshot")
 	f3, err := os.Create(v3)
 	if err != nil {
 		tb.Fatal(err)
@@ -80,7 +64,7 @@ func writeFormats(tb testing.TB, dir string, snap *compiled.Snapshot) (v2, v3 st
 	if err := f3.Close(); err != nil {
 		tb.Fatal(err)
 	}
-	return v2, v3
+	return v3
 }
 
 func openSnapshotFile(tb testing.TB, path string) *urllangid.Snapshot {
@@ -111,27 +95,20 @@ func coldProbeURLs() []string {
 }
 
 // TestCrossFormatOpenFileBitIdentical pins the interchange contract at
-// the public surface: the v2 gob and v3 flat files of one model open
-// through the same OpenFile entry point and score every probe
-// bit-identically — against each other and against the in-memory
-// snapshot they were saved from.
+// the public surface: the v3 file of a model opens through OpenFile,
+// mapped, and scores every probe bit-identically to the in-memory
+// snapshot it was saved from.
 func TestCrossFormatOpenFileBitIdentical(t *testing.T) {
 	snap := coldStartSnapshot(t)
-	v2Path, v3Path := writeFormats(t, t.TempDir(), snap)
-
-	from2 := openSnapshotFile(t, v2Path)
-	from3 := openSnapshotFile(t, v3Path)
+	from3 := openSnapshotFile(t, writeV3(t, t.TempDir(), snap))
 	if err := from3.Verify(); err != nil {
 		t.Fatalf("v3 payload verification failed on a freshly written file: %v", err)
 	}
-	if from2.Mode() != snap.Mode() || from3.Mode() != snap.Mode() {
-		t.Fatalf("mode drift: source %q, v2 %q, v3 %q", snap.Mode(), from2.Mode(), from3.Mode())
+	if from3.Mode() != snap.Mode() {
+		t.Fatalf("mode drift: source %q, v3 %q", snap.Mode(), from3.Mode())
 	}
 	for _, u := range coldProbeURLs() {
 		want := snap.Scores(u)
-		if got := from2.Classify(u).Scores(); got != want {
-			t.Fatalf("v2 diverges on %q: %v vs %v", u, got, want)
-		}
 		if got := from3.Classify(u).Scores(); got != want {
 			t.Fatalf("v3 diverges on %q: %v vs %v", u, got, want)
 		}
@@ -140,9 +117,6 @@ func TestCrossFormatOpenFileBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := from3.Close(); err != nil { // idempotent
-		t.Fatal(err)
-	}
-	if err := from2.Close(); err != nil { // no-op for heap-backed snapshots
 		t.Fatal(err)
 	}
 }
@@ -154,9 +128,7 @@ func TestOpenFileV3ClassifyZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed under the race detector")
 	}
-	snap := coldStartSnapshot(t)
-	_, v3Path := writeFormats(t, t.TempDir(), snap)
-	from3 := openSnapshotFile(t, v3Path)
+	from3 := openSnapshotFile(t, writeV3(t, t.TempDir(), coldStartSnapshot(t)))
 	defer from3.Close()
 
 	u := "http://www.nachrichten-wetter.de/zeitung/artikel7.html"
@@ -169,25 +141,10 @@ func TestOpenFileV3ClassifyZeroAlloc(t *testing.T) {
 	_ = sink
 }
 
-// BenchmarkOpenV2 measures the gob cold start: every open decodes the
-// full dictionary into heap structures.
-func BenchmarkOpenV2(b *testing.B) {
-	snap := coldStartSnapshot(b)
-	v2Path, _ := writeFormats(b, b.TempDir(), snap)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := openSnapshotFile(b, v2Path)
-		s.Close()
-	}
-}
-
 // BenchmarkOpenV3 measures the flat cold start: mmap plus directory
-// validation, independent of dictionary size. The issue's acceptance
-// bar is ≥50x over BenchmarkOpenV2 on this model.
+// validation, independent of dictionary size.
 func BenchmarkOpenV3(b *testing.B) {
-	snap := coldStartSnapshot(b)
-	_, v3Path := writeFormats(b, b.TempDir(), snap)
+	v3Path := writeV3(b, b.TempDir(), coldStartSnapshot(b))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -196,12 +153,11 @@ func BenchmarkOpenV3(b *testing.B) {
 	}
 }
 
-// BenchmarkTimeToFirstClassifyV2/V3 include one classification after
-// open — the metric a rolling restart actually cares about. The v3 row
-// pays its lazy section materialisation here, so the pair shows the
-// end-to-end win, not just the deferred work.
-func benchTimeToFirstClassify(b *testing.B, path string) {
-	b.Helper()
+// BenchmarkTimeToFirstClassifyV3 includes one classification after
+// open — the metric a rolling restart actually cares about. It pays the
+// lazy section verification that BenchmarkOpenV3 defers.
+func BenchmarkTimeToFirstClassifyV3(b *testing.B) {
+	path := writeV3(b, b.TempDir(), coldStartSnapshot(b))
 	u := "http://www.nachrichten-wetter.de/zeitung/artikel7.html"
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -212,16 +168,4 @@ func benchTimeToFirstClassify(b *testing.B, path string) {
 		}
 		s.Close()
 	}
-}
-
-func BenchmarkTimeToFirstClassifyV2(b *testing.B) {
-	snap := coldStartSnapshot(b)
-	v2Path, _ := writeFormats(b, b.TempDir(), snap)
-	benchTimeToFirstClassify(b, v2Path)
-}
-
-func BenchmarkTimeToFirstClassifyV3(b *testing.B) {
-	snap := coldStartSnapshot(b)
-	_, v3Path := writeFormats(b, b.TempDir(), snap)
-	benchTimeToFirstClassify(b, v3Path)
 }

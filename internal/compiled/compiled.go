@@ -44,16 +44,12 @@ import (
 )
 
 // mode selects the compiled scoring strategy. The numbering is part of
-// the wire format: values 0–3 match version-1 snapshot files (0 was the
-// retired fallback, kept as a wire sentinel so legacy files recompile
-// on load).
+// the wire format: v3 files store the numeric id. 0 is reserved (it
+// once marked a retired fallback form) and never loads.
 type mode uint8
 
 const (
-	// modeLegacy marks a version-1 fallback file embedding the original
-	// core.System; Load recompiles such systems natively. Never held by
-	// a live Snapshot.
-	modeLegacy mode = iota
+	_ mode = iota
 	// modeCount starts from a per-language prior and adds count-weighted
 	// feature weights (Naive Bayes: s = prior + Σ c·w).
 	modeCount
@@ -136,23 +132,12 @@ type scratch struct {
 // configuration compiles; FromSystem panics on a System whose shape no
 // trainer can produce (mixed model families, an unknown extractor).
 func FromSystem(sys *core.System) *Snapshot {
-	s, err := compile(sys)
-	if err != nil {
-		panic("compiled: " + err.Error())
-	}
-	return s
-}
-
-// compile is the error-returning form of FromSystem, shared with the
-// legacy-file loading path where a malformed System must surface as an
-// error, not a panic.
-func compile(sys *core.System) (*Snapshot, error) {
 	s := &Snapshot{cfg: sys.Config}
 	s.pool.New = func() any { return new(scratch) }
 	if !sys.Config.Algo.NeedsTraining() {
 		s.mode = modeTLD
 		s.baseline = baselineFor(sys.Config.Algo)
-		return s, nil
+		return s
 	}
 
 	switch ext := sys.Extractor.(type) {
@@ -170,31 +155,29 @@ func compile(sys *core.System) (*Snapshot, error) {
 		s.kind = ext.Kind()
 		s.custom = ext
 	default:
-		return nil, fmt.Errorf("unknown extractor %T", sys.Extractor)
+		panic(fmt.Sprintf("compiled: unknown extractor %T", sys.Extractor))
 	}
 	s.dim = uint32(sys.Extractor.Dim())
 
+	var err error
 	switch sys.Models[0].(type) {
 	case *nb.Model, *maxent.Model, *relent.Model:
-		m, err := compileLinear(sys, int(s.dim))
-		if err != nil {
-			return nil, err
-		}
+		var m compiledLinear
+		m, err = compileLinear(sys, int(s.dim))
 		s.mode, s.weights, s.pre, s.post = m.mode, m.weights, m.pre, m.post
 	case *dtree.Model:
 		s.mode = modeDTree
-		if err := s.compileTrees(sys); err != nil {
-			return nil, err
-		}
+		err = s.compileTrees(sys)
 	case *knn.Model:
 		s.mode = modeKNN
-		if err := s.compileRefs(sys); err != nil {
-			return nil, err
-		}
+		err = s.compileRefs(sys)
 	default:
-		return nil, fmt.Errorf("unknown model family %T", sys.Models[0])
+		err = fmt.Errorf("unknown model family %T", sys.Models[0])
 	}
-	return s, nil
+	if err != nil {
+		panic("compiled: " + err.Error())
+	}
+	return s
 }
 
 // baselineFor maps a baseline algorithm to its classifier.

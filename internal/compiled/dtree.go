@@ -117,20 +117,10 @@ func (s *Snapshot) dtreeScores(dense []float32, idx []uint32, val []float32) [la
 	return out
 }
 
-// treeFromWire validates a deserialised tree before accepting it.
-func treeFromWire(w wireTree, dim int) (flatTree, error) {
-	t := flatTree{feat: w.Feat, thr: w.Thr, kids: w.Kids}
-	if err := t.validate(dim); err != nil {
-		return flatTree{}, err
-	}
-	return t, nil
-}
-
 // validate checks a deserialised tree's structural invariants: array
 // lengths, feature bounds, finite thresholds, and the preorder child
 // invariant (children strictly follow their parent), which guarantees
-// every walk terminates. Both deserialisation paths run it — the gob
-// path eagerly, the flat path on first scoring touch.
+// every walk terminates. Flat snapshots run it on first scoring touch.
 func (t *flatTree) validate(dim int) error {
 	n := len(t.feat)
 	if n == 0 {

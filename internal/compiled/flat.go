@@ -2,7 +2,7 @@ package compiled
 
 // The flat (container v3) wire format: the snapshot's serving arrays
 // persisted as typed, alignment-safe little-endian sections that load
-// as views over the file bytes instead of gob-decoded heap copies. The
+// as views over the file bytes instead of decoded heap copies. The
 // section codec, alignment rules and digest scheme live in
 // internal/modelfile/flat; this file maps the Snapshot onto that
 // vocabulary — which arrays go in which sections, and which invariants
@@ -24,10 +24,11 @@ package compiled
 //     hot-path method has) with the underlying corruption error;
 //     callers that want an error instead probe Verify first.
 //
-// The arrays a flat snapshot scores from are bit-identical to what the
-// gob path reconstructs — same float64 values, same storage order, same
-// derived norms — so v2 and v3 files of one model classify identically
-// (equivalence_test.go proves it over the full configuration matrix).
+// The arrays a flat snapshot scores from are bit-identical to the ones
+// FromSystem builds — same float64 values, same storage order, same
+// norms — so a loaded file classifies exactly as the snapshot it was
+// written from (flat_test.go proves it over the full configuration
+// matrix).
 
 import (
 	"encoding/json"
@@ -190,7 +191,7 @@ func LoadFlat(f *flat.File, mapping *flat.Mapping) (*Snapshot, error) {
 
 	s := &Snapshot{cfg: meta.Config, mode: mode(meta.ModeID), kind: features.Kind(meta.Kind), raw: meta.Raw, dim: meta.Dim}
 	s.pool.New = func() any { return new(scratch) }
-	if s.mode == modeLegacy || s.mode > modeTLD {
+	if s.mode < modeCount || s.mode > modeTLD {
 		return nil, fmt.Errorf("compiled: unknown flat snapshot mode %d", meta.ModeID)
 	}
 
@@ -353,8 +354,8 @@ func (s *Snapshot) attachFlat(f *flat.File, mapping *flat.Mapping) *Snapshot {
 // snapshot — every section digest plus the structural invariants the
 // scoring paths rely on — and reports the result. It runs the O(model)
 // work at most once; later calls (and the hot path's implicit check)
-// return the cached verdict. Heap-backed snapshots (compiled in
-// process, or gob-loaded, which validate eagerly) verify trivially.
+// return the cached verdict. Snapshots compiled in process verify
+// trivially.
 func (s *Snapshot) Verify() error {
 	fs := s.flat
 	if fs == nil {
@@ -381,8 +382,7 @@ func (s *Snapshot) ensureVerified() {
 }
 
 // verifyFlat is the deferred verification body: all section digests,
-// then per-mode structural validation matching what the gob loader
-// enforces eagerly.
+// then the per-mode structural invariants scoring relies on.
 func (s *Snapshot) verifyFlat() error {
 	if err := s.flat.file.Verify(); err != nil {
 		return err
@@ -440,9 +440,8 @@ func (s *Snapshot) verifyFlat() error {
 }
 
 // validateNorms checks persisted norms against a recomputation over the
-// packed values — the flat format stores them (so load stays O(1))
-// where the gob path derives them, and this keeps a tampered norm from
-// silently changing scores. Equality is exact: the writer persisted the
+// packed values — the flat format stores them so load stays O(1), and
+// this keeps a tampered norm from silently changing scores. Equality is exact: the writer persisted the
 // very sum this loop re-accumulates, in the same order.
 func (r *packedRefs) validateNorms() error {
 	n := len(r.rows) - 1

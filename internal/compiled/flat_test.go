@@ -8,11 +8,9 @@ import (
 	"urllangid/internal/modelfile/flat"
 )
 
-// TestFlatRoundTripBitIdentical is the v3 counterpart of the gob
-// round-trip proof: every compilable Algorithm×FeatureSet survives
-// WriteFlat → Parse → LoadFlat with bit-identical predictions against
-// both the source system and a gob (v2) round trip of the same
-// snapshot, so the two wire formats are interchangeable.
+// TestFlatRoundTripBitIdentical is the round-trip proof: every
+// compilable Algorithm×FeatureSet survives WriteFlat → Parse → LoadFlat
+// with bit-identical predictions against the source system.
 func TestFlatRoundTripBitIdentical(t *testing.T) {
 	train, probes := corpusEnv(t)
 	for _, tc := range systemConfigs {
@@ -41,23 +39,6 @@ func TestFlatRoundTripBitIdentical(t *testing.T) {
 					snap.Mode(), fromFlat.Mode(), snap.Describe(), fromFlat.Describe())
 			}
 			assertIdentical(t, sys, fromFlat, probes)
-
-			var gb bytes.Buffer
-			if err := snap.Save(&gb); err != nil {
-				t.Fatal(err)
-			}
-			fromGob, err := Load(&gb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, u := range probes {
-				a, b := fromGob.Predictions(u), fromFlat.Predictions(u)
-				for li := range a {
-					if a[li] != b[li] {
-						t.Fatalf("%q lang %s: gob %+v, flat %+v", u, a[li].Lang, a[li], b[li])
-					}
-				}
-			}
 
 			// Close without a mapping is a safe no-op, twice.
 			if err := fromFlat.Close(); err != nil {

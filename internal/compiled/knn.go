@@ -2,8 +2,8 @@ package compiled
 
 // kNN compilation: each per-language reference sample packs into CSR
 // arrays — row offsets over one contiguous index/value pair — with the
-// reference squared norms precomputed (they are derived state, rebuilt
-// on load). Scoring replays knn.Model.Score exactly: the same cosine
+// reference squared norms precomputed (persisted, and checked against
+// the values when a flat snapshot is verified). Scoring replays knn.Model.Score exactly: the same cosine
 // merge in the same reference order, the same sort over the
 // positive-similarity hits, the same top-k similarity-weighted vote —
 // only the operands live in flat arrays and pooled scratch instead of
@@ -143,22 +143,11 @@ func (s *Snapshot) knnScores(qIdx []uint32, qVal []float32, sc *scratch) [langid
 	return out
 }
 
-// refsFromWire validates a deserialised reference set and rebuilds the
-// derived norms.
-func refsFromWire(w wireRefs) (packedRefs, error) {
-	refs := packedRefs{rows: w.Rows, idx: w.Idx, val: w.Val, pos: packLabels(w.Pos), k: w.K}
-	if err := refs.validate(); err != nil {
-		return packedRefs{}, err
-	}
-	refs.computeNorms()
-	return refs, nil
-}
-
 // validate checks the CSR invariants scoring relies on: a well-formed
 // monotonic row array covering the index/value pair, per-row strictly
 // increasing indices (the cosine merge's precondition), one label per
-// reference, and a positive k. Both deserialisation paths run it — the
-// gob path eagerly, the flat path on first scoring touch.
+// reference, and a positive k. Flat snapshots run it on first scoring
+// touch.
 func (r *packedRefs) validate() error {
 	n := len(r.rows) - 1
 	if n < 1 || r.rows[0] != 0 {
@@ -204,16 +193,6 @@ func packLabels(y []bool) []uint8 {
 		if p {
 			out[i] = 1
 		}
-	}
-	return out
-}
-
-// unpackLabels converts packed 0/1 bytes back to the bool form the gob
-// wire format keeps for compatibility.
-func unpackLabels(p []uint8) []bool {
-	out := make([]bool, len(p))
-	for i, b := range p {
-		out[i] = b != 0
 	}
 	return out
 }

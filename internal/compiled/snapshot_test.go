@@ -2,8 +2,6 @@ package compiled
 
 import (
 	"bytes"
-	"encoding/gob"
-	"io"
 	"runtime/debug"
 	"sync"
 	"testing"
@@ -12,6 +10,8 @@ import (
 	"urllangid/internal/datagen"
 	"urllangid/internal/features"
 	"urllangid/internal/langid"
+	"urllangid/internal/modelfile/flat"
+	"urllangid/internal/strtab"
 )
 
 // corpusEnv builds a small training pool and a disjoint set of probe
@@ -132,65 +132,6 @@ func TestSnapshotBitIdentical(t *testing.T) {
 			}
 			assertIdentical(t, sys, snap, probes)
 		})
-	}
-}
-
-func TestSnapshotSaveLoadRoundTrip(t *testing.T) {
-	train, probes := corpusEnv(t)
-	for _, tc := range systemConfigs {
-		t.Run(tc.cfg.Describe()+"/"+tc.mode, func(t *testing.T) {
-			t.Parallel()
-			sys := trainSystem(t, tc.cfg, train)
-			snap := FromSystem(sys)
-			var buf bytes.Buffer
-			if err := snap.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := Load(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if loaded.Mode() != snap.Mode() || loaded.Describe() != snap.Describe() {
-				t.Fatalf("metadata drift: mode %q/%q describe %q/%q",
-					snap.Mode(), loaded.Mode(), snap.Describe(), loaded.Describe())
-			}
-			assertIdentical(t, sys, loaded, probes)
-		})
-	}
-}
-
-// TestLoadLegacyFallbackRecompiles pins the upgrade path for version-1
-// snapshot files: a fallback payload (embedded core.System gob) loads
-// into a natively compiled snapshot with identical answers.
-func TestLoadLegacyFallbackRecompiles(t *testing.T) {
-	train, probes := corpusEnv(t)
-	for _, cfg := range []core.Config{
-		{Algo: core.DecisionTree, Features: features.CustomSelected, Seed: 1},
-		{Algo: core.CcTLD},
-	} {
-		sys := trainSystem(t, cfg, train)
-		var sysBuf bytes.Buffer
-		if err := sys.Save(&sysBuf); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		err := saveWire(&buf, wireSnapshot{
-			Version: wireVersionLegacy,
-			Mode:    uint8(modeLegacy),
-			Config:  cfg,
-			System:  sysBuf.Bytes(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap, err := Load(&buf)
-		if err != nil {
-			t.Fatalf("%s: loading legacy fallback file: %v", cfg.Describe(), err)
-		}
-		if !snap.Compiled() {
-			t.Fatalf("%s: legacy fallback did not recompile", cfg.Describe())
-		}
-		assertIdentical(t, sys, snap, probes)
 	}
 }
 
@@ -348,84 +289,82 @@ func TestSnapshotConcurrentUse(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsCorruptSnapshots feeds a corrupt model to each
+// structural check: one field of a freshly compiled snapshot is broken,
+// WriteFlat stamps valid digests over it, and LoadFlat or Verify must
+// reject the file.
 func TestLoadRejectsCorruptSnapshots(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte{0xde, 0xad})); err == nil {
-		t.Error("Load accepted garbage")
-	}
-
 	train, _ := corpusEnv(t)
-	corrupt := func(name string, cfg core.Config, mutate func(*wireSnapshot)) {
+	corrupt := func(name string, cfg core.Config, mutate func(*Snapshot)) {
 		t.Helper()
-		sys := trainSystem(t, cfg, train)
-		snap := FromSystem(sys)
+		snap := FromSystem(trainSystem(t, cfg, train))
+		mutate(snap)
 		var buf bytes.Buffer
-		if err := snap.Save(&buf); err != nil {
+		if err := snap.WriteFlat(&buf); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		f, err := flat.Parse(buf.Bytes())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		loaded, err := LoadFlat(f, nil)
+		if err == nil {
+			err = loaded.Verify()
+		}
+		if err == nil {
+			t.Errorf("LoadFlat and Verify accepted %s", name)
+		}
+	}
+	retable := func(s *Snapshot, blob []byte, offs []uint32) {
+		tab, err := strtab.FromFlat(blob, offs, s.table.Slots())
+		if err != nil {
 			t.Fatal(err)
 		}
-		var wire wireSnapshot
-		if err := gob.NewDecoder(&buf).Decode(&wire); err != nil {
-			t.Fatal(err)
-		}
-		mutate(&wire)
-		var out bytes.Buffer
-		if err := saveWire(&out, wire); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Load(&out); err == nil {
-			t.Errorf("Load accepted %s", name)
-		}
+		s.table = tab
 	}
 	linear := core.Config{Algo: core.NaiveBayes, Features: features.Words, Seed: 7}
-	corrupt("bad version", linear, func(w *wireSnapshot) { w.Version = 99 })
-	corrupt("bad mode", linear, func(w *wireSnapshot) { w.Mode = 42 })
-	corrupt("v2 legacy mode", linear, func(w *wireSnapshot) { w.Mode = uint8(modeLegacy) })
-	corrupt("out-of-range feature kind", linear, func(w *wireSnapshot) { w.Kind = features.Kind(250) })
-	corrupt("truncated weights", linear, func(w *wireSnapshot) { w.Weights = w.Weights[:1] })
-	corrupt("offset count", linear, func(w *wireSnapshot) { w.Offs = w.Offs[:len(w.Offs)-2] })
-	corrupt("non-monotonic offsets", linear, func(w *wireSnapshot) {
-		offs := append([]uint32(nil), w.Offs...)
-		if len(offs) > 2 {
-			offs[1], offs[2] = offs[2]+1, offs[1]
-		}
-		w.Offs = offs
+	corrupt("bad mode", linear, func(s *Snapshot) { s.mode = 42 })
+	corrupt("reserved mode 0", linear, func(s *Snapshot) { s.mode = 0 })
+	corrupt("out-of-range feature kind", linear, func(s *Snapshot) { s.kind = features.Kind(250) })
+	corrupt("truncated weights", linear, func(s *Snapshot) { s.weights = s.weights[:1] })
+	corrupt("offset count", linear, func(s *Snapshot) {
+		offs := s.table.Offsets()
+		retable(s, s.table.Blob(), offs[:len(offs)-2])
 	})
-	corrupt("blob length", linear, func(w *wireSnapshot) { w.Blob = w.Blob[:len(w.Blob)/2] })
+	corrupt("non-monotonic offsets", linear, func(s *Snapshot) {
+		offs := append([]uint32(nil), s.table.Offsets()...)
+		offs[1], offs[2] = offs[2]+1, offs[1]
+		retable(s, s.table.Blob(), offs)
+	})
+	corrupt("blob length", linear, func(s *Snapshot) {
+		blob := s.table.Blob()
+		retable(s, blob[:len(blob)/2], s.table.Offsets())
+	})
 
 	dt := core.Config{Algo: core.DecisionTree, Features: features.CustomSelected, Seed: 7}
-	corrupt("custom dim mismatch", dt, func(w *wireSnapshot) { w.Dim = 99 })
-	corrupt("tree child cycle", dt, func(w *wireSnapshot) {
-		for li := range w.Trees {
-			if len(w.Trees[li].Feat) > 0 && w.Trees[li].Feat[0] >= 0 {
-				w.Trees[li].Kids[0] = 0 // left child points back at the root
+	corrupt("custom dim mismatch", dt, func(s *Snapshot) { s.dim = 99 })
+	corrupt("tree child cycle", dt, func(s *Snapshot) {
+		for li := range s.trees {
+			if s.trees[li].feat[0] >= 0 {
+				s.trees[li].kids[0] = 0 // left child points back at the root
 			}
 		}
 	})
-	corrupt("tree feature bound", dt, func(w *wireSnapshot) {
-		for li := range w.Trees {
-			if len(w.Trees[li].Feat) > 0 && w.Trees[li].Feat[0] >= 0 {
-				w.Trees[li].Feat[0] = int32(w.Dim) + 7
+	corrupt("tree feature bound", dt, func(s *Snapshot) {
+		for li := range s.trees {
+			if s.trees[li].feat[0] >= 0 {
+				s.trees[li].feat[0] = int32(s.dim) + 7
 			}
 		}
 	})
 
 	kn := core.Config{Algo: core.KNN, Features: features.Words, Seed: 7, KNNMaxReference: 100}
-	corrupt("knn row offsets", kn, func(w *wireSnapshot) {
-		w.Refs[0].Rows = append([]uint32(nil), w.Refs[0].Rows...)
-		w.Refs[0].Rows[len(w.Refs[0].Rows)-1] += 9
-	})
-	corrupt("knn label count", kn, func(w *wireSnapshot) { w.Refs[0].Pos = w.Refs[0].Pos[:1] })
-	corrupt("knn zero k", kn, func(w *wireSnapshot) { w.Refs[0].K = 0 })
+	corrupt("knn row offsets", kn, func(s *Snapshot) { s.refs[0].rows[len(s.refs[0].rows)-1] += 9 })
+	corrupt("knn label count", kn, func(s *Snapshot) { s.refs[0].pos = s.refs[0].pos[:1] })
+	corrupt("knn zero k", kn, func(s *Snapshot) { s.refs[0].k = 0 })
 
 	tld := core.Config{Algo: core.CcTLD}
-	corrupt("tld with trainable algo", tld, func(w *wireSnapshot) {
-		w.Config.Algo = core.NaiveBayes
-	})
-}
-
-// saveWire writes a raw wire struct, bypassing Save's consistency
-// guarantees so corruption tests can exercise Load's validation.
-func saveWire(w io.Writer, wire wireSnapshot) error {
-	return gob.NewEncoder(w).Encode(wire)
+	corrupt("tld with trainable algo", tld, func(s *Snapshot) { s.cfg.Algo = core.NaiveBayes })
 }
 
 // TestModeNames pins the operator-facing mode vocabulary.

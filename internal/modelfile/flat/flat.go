@@ -1,19 +1,19 @@
 // Package flat implements the version-3 model container: a flat,
 // alignment-safe, little-endian section layout built to be mapped into
-// memory and consumed in place. Where the v1/v2 containers frame one
-// opaque gob payload that must be decoded into heap structures — cold
-// start linear in model size, one private copy of the weights per
-// process — a v3 file is a directory of typed sections whose payloads
-// ARE the serving data structures: dense weight arrays, string-table
-// buckets, flattened trees, packed kNN rows. Opening one costs a
-// directory walk; the page cache shares the bytes across processes.
+// memory and consumed in place. Where a gob payload must be decoded
+// into heap structures — cold start linear in model size, one private
+// copy of the weights per process — a v3 file is a directory of typed
+// sections whose payloads ARE the serving data structures: dense weight
+// arrays, string-table buckets, flattened trees, packed kNN rows.
+// Opening one costs a directory walk; the page cache shares the bytes
+// across processes.
 //
 // # Layout
 //
 // A 64-byte header, a section directory, then the section payloads:
 //
 //	offset  size  field
-//	0       8     magic (shared with the v1/v2 container)
+//	0       8     magic (shared with the v2 classifier container)
 //	8       1     container version, 3
 //	9       1     kind byte ('S': compiled snapshot)
 //	10      6     reserved, zero
@@ -62,8 +62,8 @@ import (
 	"sort"
 )
 
-// magic matches the v1/v2 container magic, so one sniff identifies all
-// model files.
+// magic matches the classifier container's magic, so one sniff
+// identifies all model files.
 var magic = [8]byte{0x89, 'U', 'R', 'L', 'I', 'D', '\r', '\n'}
 
 // Version is the container version byte this package implements.

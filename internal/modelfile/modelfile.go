@@ -1,34 +1,32 @@
-// Package modelfile defines the on-disk container for urllangid models:
-// a fixed magic header, a format version and a kind byte, a metadata
-// block, followed by the kind's gob payload. The header makes model
-// files self-describing — one loader opens both trained classifiers and
-// compiled snapshots and reports *which* it found, instead of two
-// incompatible entry points failing with raw gob errors when handed the
-// other's file.
+// Package modelfile defines the on-disk containers for urllangid
+// models. Every file opens with a fixed magic header, a container
+// version and a kind byte, so one loader opens both trained classifiers
+// and compiled snapshots and reports which it found, instead of two
+// entry points failing with raw decode errors when handed the other's
+// file.
 //
-// Since container version 2 the header is followed by a small JSON
-// metadata block carrying the payload's SHA-256 digest, its byte
-// length, and the model's configuration label. The digest gives every
-// model file a stable content identity — the model registry compares it
-// to skip no-op reloads and reports it per served version — and doubles
-// as an integrity check: a truncated or bit-flipped payload fails with
-// a message naming the damage instead of a gob decode error deep in the
-// payload.
+// Each kind has exactly one encoding:
 //
-// Container version 3 abandons the opaque gob payload for the flat,
-// mmap-able section layout implemented in the nested flat package: a
-// validated section directory with per-section SHA-256 digests over
-// typed little-endian payloads that serving consumes as views in
-// place. Snapshots are written as v3 (WriteSnapshot); OpenPath maps a
-// v3 file instead of reading it, which makes model open time
-// independent of model size and lets the page cache share one copy of
-// the weights across processes.
+//   - A trained classifier is a version-2 container: the header, a
+//     small JSON metadata block carrying the payload's SHA-256 digest,
+//     its byte length and the configuration label, then the gob
+//     payload. The length and digest are checked before decoding, so a
+//     truncated or bit-flipped file fails with a message naming the
+//     damage instead of a decode error deep in the payload.
+//   - A compiled snapshot is a version-3 container: the flat, mmap-able
+//     section layout implemented in the nested flat package, a
+//     validated section directory with per-section SHA-256 digests over
+//     typed little-endian payloads that serving consumes as views in
+//     place. OpenPath maps a v3 file instead of reading it, which makes
+//     model open time independent of model size and lets the page cache
+//     share one copy of the weights across processes.
 //
-// Files written before the header existed (plain core.System or
-// compiled.Snapshot gobs) still load, as do version-1 files without the
-// metadata block and version-2 gob containers: Read dispatches on the
-// header and falls back to sniffing the gob payload when the magic is
-// absent.
+// Any other encoding fails to load with an error that names what it
+// found and the command that writes the current encoding. The metadata
+// digest (for v3 files, the directory digest) is the model's content
+// identity: the registry compares it to skip no-op reloads and reports
+// it per served version. WriteFile replaces a model file by rename, the
+// only safe way to redeploy a file a server may have mapped.
 package modelfile
 
 import (
@@ -38,36 +36,30 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"os"
+	"path/filepath"
+	"strconv"
 
 	"urllangid/internal/compiled"
 	"urllangid/internal/core"
 	"urllangid/internal/modelfile/flat"
 )
 
-// magic opens every headered model file. Modeled on the PNG signature:
-// the high bit in the first byte breaks text-mode transfers, and no
-// legacy gob stream can start with it (a gob message starts with its
-// byte count — either one byte < 0x80 or a small negated length count
-// 0xff..0xf8 — never 0x89).
+// magic opens every model file. Modeled on the PNG signature: the high
+// bit in the first byte breaks text-mode transfers, and no gob stream
+// can start with it (a gob message starts with its byte count — either
+// one byte < 0x80 or a small negated length count 0xff..0xf8 — never
+// 0x89).
 var magic = [8]byte{0x89, 'U', 'R', 'L', 'I', 'D', '\r', '\n'}
 
-// Container format versions. Version 1 is header + payload; version 2
-// inserts the metadata block between them; version 3 is the flat
-// section layout (snapshots only — classifiers stay gob, their
-// training-time structures gain nothing from mapping). Writers emit
-// version 2 for classifiers and version 3 for snapshots; Read accepts
-// all three. The gob payloads carry their own compatibility story
-// (gob field matching for classifiers, an explicit version field for
-// snapshots).
+// The one container version of each kind. Classifiers stay gob: their
+// training-time structures gain nothing from mapping.
 const (
-	versionFlat    byte = flat.Version // current for snapshots: flat section layout
-	versionMeta    byte = 2            // current for classifiers: header + meta block + gob payload
-	versionPlain   byte = 1            // legacy: header + payload, no metadata
-	writtenVersion      = versionMeta
+	versionClassifier byte = 2            // header + meta block + gob payload
+	versionSnapshot   byte = flat.Version // flat section layout
 )
 
 // Model kinds, stored in the header's kind byte.
@@ -84,19 +76,13 @@ const headerLen = len(magic) + 2
 // prefix, not a model.
 const maxMetaBytes = 1 << 20
 
-// minModelBytes is the smallest plausible serialized model: even an
-// untrained baseline's gob stream spends more than this on type
-// descriptors alone. Shorter headerless inputs are rejected as "not a
-// model file" without attempting a decode.
-const minModelBytes = 64
-
 // Meta is the container's metadata block: the payload's content
 // identity and enough description to report a model without decoding
 // it. It is stored as JSON so foreign tooling can read it.
 type Meta struct {
-	// Digest is the lowercase hex SHA-256 of the payload bytes. It
-	// identifies the model content independent of the file path, and is
-	// verified on Read.
+	// Digest is the lowercase hex SHA-256 of the payload bytes (for v3
+	// files, of the section directory). It identifies the model content
+	// independent of the file path, and is verified on Read.
 	Digest string `json:"digest"`
 	// PayloadBytes is the exact payload length, letting Read distinguish
 	// truncation from corruption.
@@ -120,30 +106,31 @@ func KindName(kind byte) string {
 	}
 }
 
-// DigestBytes returns the lowercase hex SHA-256 of data — the same
-// digest Write stores in the metadata block when data is a payload.
-// The registry uses it to derive a content identity for legacy files
-// that carry no metadata (hashing the whole file instead).
-func DigestBytes(data []byte) string {
+// digestBytes returns the lowercase hex SHA-256 of data, the digest the
+// classifier metadata block records for its payload.
+func digestBytes(data []byte) string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
 }
 
-// writeModel frames a serialized payload: header, metadata block,
-// payload bytes.
-func writeModel(w io.Writer, kind byte, label, mode string, payload []byte) error {
+// WriteClassifier serialises a trained system as a version-2 container:
+// header, metadata block, gob payload.
+func WriteClassifier(w io.Writer, sys *core.System) error {
+	var payload bytes.Buffer
+	if err := sys.Save(&payload); err != nil {
+		return err
+	}
 	var h [headerLen]byte
 	copy(h[:], magic[:])
-	h[len(magic)] = writtenVersion
-	h[len(magic)+1] = kind
+	h[len(magic)] = versionClassifier
+	h[len(magic)+1] = KindClassifier
 	if _, err := w.Write(h[:]); err != nil {
 		return fmt.Errorf("writing model header: %w", err)
 	}
 	meta := Meta{
-		Digest:       DigestBytes(payload),
-		PayloadBytes: int64(len(payload)),
-		Label:        label,
-		Mode:         mode,
+		Digest:       digestBytes(payload.Bytes()),
+		PayloadBytes: int64(payload.Len()),
+		Label:        sys.Config.Describe(),
 	}
 	mb, err := json.Marshal(meta)
 	if err != nil {
@@ -157,50 +144,81 @@ func writeModel(w io.Writer, kind byte, label, mode string, payload []byte) erro
 	if _, err := w.Write(mb); err != nil {
 		return fmt.Errorf("writing model metadata: %w", err)
 	}
-	if _, err := w.Write(payload); err != nil {
+	if _, err := w.Write(payload.Bytes()); err != nil {
 		return fmt.Errorf("writing model payload: %w", err)
 	}
 	return nil
 }
 
-// WriteClassifier serialises a trained system with the classifier
-// header and metadata block.
-func WriteClassifier(w io.Writer, sys *core.System) error {
-	var payload bytes.Buffer
-	if err := sys.Save(&payload); err != nil {
-		return err
-	}
-	return writeModel(w, KindClassifier, sys.Config.Describe(), "", payload.Bytes())
-}
-
-// WriteSnapshot serialises a compiled snapshot in the current (flat,
-// version-3) container: typed sections that later Opens map and consume
-// in place.
+// WriteSnapshot serialises a compiled snapshot as a version-3 (flat)
+// container: typed sections that later Opens map and consume in place.
 func WriteSnapshot(w io.Writer, snap *compiled.Snapshot) error {
 	return snap.WriteFlat(w)
 }
 
-// WriteSnapshotV2 serialises a compiled snapshot in the version-2 gob
-// container. Kept for compatibility coverage (the cross-format
-// equivalence tests prove v2 and v3 files of one model classify
-// bit-identically) and for producing files older builds can read.
-func WriteSnapshotV2(w io.Writer, snap *compiled.Snapshot) error {
-	var payload bytes.Buffer
-	if err := snap.Save(&payload); err != nil {
+// WriteFile writes a model file to path by rename. write fills a new
+// file in path's directory, which is synced, closed and renamed over
+// path, so a process that has the old file open or mapped keeps reading
+// the old bytes and no reader ever sees a partial file. The new file is
+// created with mode 0666 before umask, as os.Create does. On any error
+// the new file is removed and path is left as it was.
+func WriteFile(path string, write func(io.Writer) error) (err error) {
+	dir, base := filepath.Split(path)
+	tmp := filepath.Join(dir, "."+base+".tmp"+strconv.FormatUint(rand.Uint64(), 36))
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
+	if err != nil {
 		return err
 	}
-	return writeModel(w, KindSnapshot, snap.Describe(), snap.Mode(), payload.Bytes())
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	if err = write(f); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
 
-// ErrNoHeader reports input without the model file magic: either a
-// legacy headerless gob or not a model file at all. Inspect returns it;
-// Read instead falls back to sniffing the payload.
-var ErrNoHeader = errors.New("no model file header")
+// errNoHeader rejects input that does not start with the container
+// header: a model saved before the header existed, or not a model file
+// at all.
+func errNoHeader(size int64) error {
+	return fmt.Errorf("not a model file (%d bytes without the urllangid header that starts every trained classifier and compiled snapshot); a model saved before the header existed must be retrained with %q and recompiled with %q",
+		size, "urllangid train", "urllangid compile")
+}
 
-// readMeta decodes the version-2 metadata block from br.
-func readMeta(br *bufio.Reader) (*Meta, error) {
+// checkVerKind accepts the one encoding of each kind, a version-2
+// classifier or a version-3 snapshot. Anything else is rejected with the
+// command that writes the current encoding of the declared kind.
+func checkVerKind(ver, kind byte) error {
+	want, rewrite := versionClassifier, "urllangid train"
+	switch kind {
+	case KindClassifier:
+	case KindSnapshot:
+		want, rewrite = versionSnapshot, "urllangid compile"
+	default:
+		return fmt.Errorf("model file declares %s; this build knows classifiers (%q) and snapshots (%q)",
+			KindName(kind), KindClassifier, KindSnapshot)
+	}
+	if ver != want {
+		return fmt.Errorf("model file holds a %s in container version %d; this build reads a %s only in version %d (rewrite the file with %q)",
+			KindName(kind), ver, KindName(kind), want, rewrite)
+	}
+	return nil
+}
+
+// readMeta decodes the version-2 metadata block from r.
+func readMeta(r io.Reader) (*Meta, error) {
 	var mlen [4]byte
-	if _, err := io.ReadFull(br, mlen[:]); err != nil {
+	if _, err := io.ReadFull(r, mlen[:]); err != nil {
 		return nil, fmt.Errorf("model file truncated in metadata length: %w", err)
 	}
 	n := binary.BigEndian.Uint32(mlen[:])
@@ -208,7 +226,7 @@ func readMeta(br *bufio.Reader) (*Meta, error) {
 		return nil, fmt.Errorf("model metadata block claims %d bytes (limit %d): corrupt file", n, maxMetaBytes)
 	}
 	mb := make([]byte, n)
-	if _, err := io.ReadFull(br, mb); err != nil {
+	if _, err := io.ReadFull(r, mb); err != nil {
 		return nil, fmt.Errorf("model file truncated in metadata block: %w", err)
 	}
 	var meta Meta
@@ -218,79 +236,13 @@ func readMeta(br *bufio.Reader) (*Meta, error) {
 	return &meta, nil
 }
 
-// checkVerKind validates the header's version and kind bytes.
-func checkVerKind(ver, kind byte) error {
-	if ver != versionPlain && ver != versionMeta && ver != versionFlat {
-		return fmt.Errorf("model file has container version %d; this build reads versions %d through %d (rebuild or re-save the model)",
-			ver, versionPlain, versionFlat)
-	}
-	if kind != KindClassifier && kind != KindSnapshot {
-		return fmt.Errorf("model file declares %s; this build knows classifiers (%q) and snapshots (%q)",
-			KindName(kind), KindClassifier, KindSnapshot)
-	}
-	if ver == versionFlat && kind != KindSnapshot {
-		return fmt.Errorf("model file declares a version-%d flat container holding a %s; only snapshots use the flat layout",
-			ver, KindName(kind))
-	}
-	return nil
-}
-
-// readHeader peeks the container header. ok is false when the magic is
-// absent (legacy or foreign input).
-func readHeader(br *bufio.Reader) (ver, kind byte, ok bool, err error) {
-	head, peekErr := br.Peek(headerLen)
-	if peekErr != nil || !bytes.Equal(head[:len(magic)], magic[:]) {
-		return 0, 0, false, nil
-	}
-	ver, kind = head[len(magic)], head[len(magic)+1]
-	if _, err := br.Discard(headerLen); err != nil {
-		return 0, 0, false, fmt.Errorf("reading model header: %w", err)
-	}
-	if err := checkVerKind(ver, kind); err != nil {
-		return 0, 0, false, err
-	}
-	return ver, kind, true, nil
-}
-
-// Inspect reads a model file's header and metadata without decoding
-// the payload — the cheap path for asking "what is this file, and has
-// its content changed?". For version-2 files that is the metadata
-// block; for version-3 flat files it is the header and section
-// directory (whose digest is the model's content identity) plus the
-// small metadata section. meta is nil for version-1 files, which carry
-// none. Headerless input returns ErrNoHeader; callers that need a
-// content identity for such files hash them with DigestBytes.
-func Inspect(r io.Reader) (kind byte, meta *Meta, err error) {
-	br := bufio.NewReader(r)
-	if head, err := br.Peek(headerLen); err == nil &&
-		bytes.Equal(head[:len(magic)], magic[:]) && head[len(magic)] == versionFlat {
-		kind, meta, _, err := inspectFlatReader(br)
-		return kind, meta, err
-	}
-	ver, kind, ok, err := readHeader(br)
-	if err != nil {
-		return 0, nil, err
-	}
-	if !ok {
-		return 0, nil, ErrNoHeader
-	}
-	if ver == versionPlain {
-		return kind, nil, nil
-	}
-	meta, err = readMeta(br)
-	if err != nil {
-		return 0, nil, err
-	}
-	return kind, meta, nil
-}
-
 // inspectFlatReader reads a v3 file's directory and metadata section
 // from a sequential reader: the directory gives the model digest and
 // payload total, and the metadata section — verified against its
 // directory digest before use — gives label and mode. Payload sections
 // after the metadata are never read.
 func inspectFlatReader(br *bufio.Reader) (kind byte, meta *Meta, secs []flat.Section, err error) {
-	kind, digest, secs, err := ReadIndexFlat(br)
+	kind, digest, secs, err := flat.ReadIndex(br)
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -302,7 +254,7 @@ func inspectFlatReader(br *bufio.Reader) (kind byte, meta *Meta, secs []flat.Sec
 			msec = &secs[i]
 		}
 	}
-	meta = &Meta{Digest: digest, PayloadBytes: total}
+	meta = &Meta{Digest: hex.EncodeToString(digest[:]), PayloadBytes: total}
 	if msec == nil {
 		return kind, meta, secs, nil
 	}
@@ -334,18 +286,6 @@ func inspectFlatReader(br *bufio.Reader) (kind byte, meta *Meta, secs []flat.Sec
 	return kind, meta, secs, nil
 }
 
-// ReadIndexFlat reads a v3 file's header and section directory from a
-// sequential reader, filling the Meta digest from the header. It wraps
-// flat.ReadIndex so callers outside this package see one inspection
-// vocabulary.
-func ReadIndexFlat(r io.Reader) (kind byte, digest string, secs []flat.Section, err error) {
-	kind, d, secs, err := flat.ReadIndex(r)
-	if err != nil {
-		return 0, "", nil, err
-	}
-	return kind, hex.EncodeToString(d[:]), secs, nil
-}
-
 // SectionInfo describes one v3 section for inspection output.
 type SectionInfo struct {
 	// Name is the section type name (e.g. "weights", "strtab-blob").
@@ -363,178 +303,132 @@ type SectionInfo struct {
 // Info is a model file's full inspection report: what InspectFile
 // learns without decoding any model payload.
 type Info struct {
-	// Version is the container version (1, 2 or 3); 0 for legacy
-	// headerless files.
+	// Version is the container version: 2 for classifiers, 3 for
+	// snapshots.
 	Version byte `json:"version"`
-	// Kind is the kind byte (KindClassifier or KindSnapshot); 0 when
-	// unknown (legacy files).
+	// Kind is the kind byte (KindClassifier or KindSnapshot).
 	Kind byte `json:"-"`
-	// Meta is the metadata block (nil for version-1 and legacy files).
-	// For version-3 files the digest is the model digest from the
-	// header.
+	// Meta is the metadata block. For version-3 files the digest is the
+	// model digest from the header.
 	Meta *Meta `json:"meta,omitempty"`
 	// Sections is the v3 section directory, in file order; nil for
-	// earlier versions.
+	// classifiers.
 	Sections []SectionInfo `json:"sections,omitempty"`
 }
 
 // InspectFile reports what the file at path holds — container version,
 // kind, metadata, and (for v3) the full section directory — without
-// decoding any model payload. Legacy headerless files return
-// ErrNoHeader, as Inspect does.
+// decoding any model payload. A file in any other encoding fails with
+// the same error ReadBytes gives.
 func InspectFile(path string) (*Info, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	head, err := br.Peek(headerLen)
-	if err != nil || !bytes.Equal(head[:len(magic)], magic[:]) {
-		return nil, ErrNoHeader
-	}
-	ver := head[len(magic)]
-	if err := checkVerKind(ver, head[len(magic)+1]); err != nil {
-		return nil, err
-	}
-	if ver == versionFlat {
-		kind, meta, secs, err := inspectFlatReader(br)
-		if err != nil {
-			return nil, err
-		}
-		// The directory is internally consistent (its digest matched), but
-		// a truncated copy can still carry a directory whose sections
-		// point past the end of the file. The file size is known here, so
-		// reject that without reading any payload.
-		st, err := f.Stat()
-		if err != nil {
-			return nil, err
-		}
-		size := uint64(st.Size())
-		for _, s := range secs {
-			if s.Off > size || s.Len > size-s.Off {
-				return nil, fmt.Errorf("%s section [%d,+%d) extends past the %d-byte file: truncated copy",
-					flat.SectionName(s.Type), s.Off, s.Len, size)
-			}
-		}
-		info := &Info{Version: ver, Kind: kind, Meta: meta, Sections: make([]SectionInfo, len(secs))}
-		for i, s := range secs {
-			info.Sections[i] = SectionInfo{
-				Name:   flat.SectionName(s.Type),
-				Lang:   s.Lang,
-				Off:    s.Off,
-				Len:    s.Len,
-				Digest: hex.EncodeToString(s.Digest[:]),
-			}
-		}
-		return info, nil
-	}
-	kind, meta, err := Inspect(br)
+	st, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
-	return &Info{Version: ver, Kind: kind, Meta: meta}, nil
+	br := bufio.NewReader(f)
+	head, err := br.Peek(headerLen)
+	if err != nil && err != io.EOF {
+		return nil, err
+	}
+	if len(head) < headerLen || !bytes.Equal(head[:len(magic)], magic[:]) {
+		return nil, errNoHeader(st.Size())
+	}
+	ver, kind := head[len(magic)], head[len(magic)+1]
+	if err := checkVerKind(ver, kind); err != nil {
+		return nil, err
+	}
+	if kind == KindClassifier {
+		if _, err := br.Discard(headerLen); err != nil {
+			return nil, fmt.Errorf("reading model header: %w", err)
+		}
+		meta, err := readMeta(br)
+		if err != nil {
+			return nil, err
+		}
+		return &Info{Version: ver, Kind: kind, Meta: meta}, nil
+	}
+	kind, meta, secs, err := inspectFlatReader(br)
+	if err != nil {
+		return nil, err
+	}
+	// The directory is internally consistent (its digest matched), but a
+	// truncated copy can still carry a directory whose sections point
+	// past the end of the file. The file size is known here, so reject
+	// that without reading any payload.
+	size := uint64(st.Size())
+	for _, s := range secs {
+		if s.Off > size || s.Len > size-s.Off {
+			return nil, fmt.Errorf("%s section [%d,+%d) extends past the %d-byte file: truncated copy",
+				flat.SectionName(s.Type), s.Off, s.Len, size)
+		}
+	}
+	info := &Info{Version: ver, Kind: kind, Meta: meta, Sections: make([]SectionInfo, len(secs))}
+	for i, s := range secs {
+		info.Sections[i] = SectionInfo{
+			Name:   flat.SectionName(s.Type),
+			Lang:   s.Lang,
+			Off:    s.Off,
+			Len:    s.Len,
+			Digest: hex.EncodeToString(s.Digest[:]),
+		}
+	}
+	return info, nil
 }
 
 // Read loads a model of either kind from r, returning exactly one of
-// (sys, snap) non-nil. It is ReadWithMeta without the metadata.
+// (sys, snap) non-nil. It buffers the stream and delegates to ReadBytes.
 func Read(r io.Reader) (sys *core.System, snap *compiled.Snapshot, err error) {
-	sys, snap, _, err = ReadWithMeta(r)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, nil, fmt.Errorf("reading model data: %w", err)
+	}
+	sys, snap, _, err = ReadBytes(data)
 	return sys, snap, err
 }
 
-// ReadWithMeta loads a model of either kind from r. It buffers the
-// stream and delegates to ReadBytes.
-func ReadWithMeta(r io.Reader) (sys *core.System, snap *compiled.Snapshot, meta *Meta, err error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("reading model data: %w", err)
-	}
-	return ReadBytes(data)
-}
-
 // ReadBytes loads a model of either kind from an in-memory file image,
-// returning exactly one of (sys, snap) non-nil plus the file's metadata
-// block (nil for version-1 and legacy headerless files). The payload is
-// sliced out of data, not copied — callers that already hold the file
-// bytes (the registry reads files once per load/reload) pay no second
-// buffer. Headered files dispatch on their kind byte, and version-2
-// payloads are verified against their recorded length and digest before
-// decoding; headerless files from pre-header releases are sniffed: the
-// snapshot decoder is tried first because it validates an internal
-// version field, whereas force-decoding a snapshot gob as a classifier
-// would "succeed" with an empty system.
+// returning exactly one of (sys, snap) non-nil plus the file's metadata.
+// A snapshot's views and a classifier's payload are sliced out of data,
+// not copied. A classifier payload is verified against its recorded
+// length and digest before decoding. Any encoding other than a
+// version-2 classifier or a version-3 snapshot is rejected.
 func ReadBytes(data []byte) (sys *core.System, snap *compiled.Snapshot, meta *Meta, err error) {
-	if len(data) >= headerLen && bytes.Equal(data[:len(magic)], magic[:]) {
-		ver, kind := data[len(magic)], data[len(magic)+1]
-		if err := checkVerKind(ver, kind); err != nil {
-			return nil, nil, nil, err
-		}
-		if ver == versionFlat {
-			snap, meta, err := readFlatBytes(data, nil)
-			return nil, snap, meta, err
-		}
-		payload := data[headerLen:]
-		if ver == versionMeta {
-			if len(payload) < 4 {
-				return nil, nil, nil, fmt.Errorf("model file truncated in metadata length: %d bytes after the header", len(payload))
-			}
-			n := binary.BigEndian.Uint32(payload[:4])
-			if n > maxMetaBytes {
-				return nil, nil, nil, fmt.Errorf("model metadata block claims %d bytes (limit %d): corrupt file", n, maxMetaBytes)
-			}
-			if uint64(len(payload)-4) < uint64(n) {
-				return nil, nil, nil, fmt.Errorf("model file truncated in metadata block: %d of %d bytes", len(payload)-4, n)
-			}
-			meta = new(Meta)
-			if err := json.Unmarshal(payload[4:4+n], meta); err != nil {
-				return nil, nil, nil, fmt.Errorf("decoding model metadata: %w", err)
-			}
-			payload = payload[4+n:]
-			switch {
-			case int64(len(payload)) < meta.PayloadBytes:
-				return nil, nil, nil, fmt.Errorf("model payload truncated: %d of %d bytes (re-copy the file)", len(payload), meta.PayloadBytes)
-			case int64(len(payload)) > meta.PayloadBytes:
-				return nil, nil, nil, fmt.Errorf("model file carries %d bytes beyond its declared %d-byte payload (corrupted or concatenated)", int64(len(payload))-meta.PayloadBytes, meta.PayloadBytes)
-			}
-			if got := DigestBytes(payload); got != meta.Digest {
-				return nil, nil, nil, fmt.Errorf("model payload corrupted: SHA-256 digest mismatch (file claims %.12s…, content is %.12s…)", meta.Digest, got)
-			}
-		}
-		// checkVerKind admits only the two known kinds.
-		if kind == KindClassifier {
-			sys, err := core.Load(bytes.NewReader(payload))
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("loading %s payload: %w", KindName(kind), err)
-			}
-			return sys, nil, meta, nil
-		}
-		snap, err := compiled.Load(bytes.NewReader(payload))
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("loading %s payload: %w", KindName(kind), err)
-		}
-		return nil, snap, meta, nil
+	if len(data) < headerLen || !bytes.Equal(data[:len(magic)], magic[:]) {
+		return nil, nil, nil, errNoHeader(int64(len(data)))
 	}
-
-	// Headerless: a legacy gob payload (or not a model file at all).
-	// Empty and tiny inputs get a size-stating rejection up front — the
-	// common "served an empty file" operational mistake must not surface
-	// as a raw gob/EOF decode error.
-	if len(data) < minModelBytes {
-		return nil, nil, nil, fmt.Errorf("not a model file (%d bytes: shorter than any saved model)", len(data))
+	kind := data[len(magic)+1]
+	if err := checkVerKind(data[len(magic)], kind); err != nil {
+		return nil, nil, nil, err
 	}
-	if snap, err := compiled.Load(bytes.NewReader(data)); err == nil {
-		return nil, snap, nil, nil
+	if kind == KindSnapshot {
+		snap, meta, err := readFlatBytes(data, nil)
+		return nil, snap, meta, err
 	}
-	sys, sysErr := core.Load(bytes.NewReader(data))
-	if sysErr == nil {
-		if !completeSystem(sys) {
-			sysErr = errors.New("decoded classifier is missing its extractor or models (truncated or foreign gob data)")
-		} else {
-			return sys, nil, nil, nil
-		}
+	r := bytes.NewReader(data[headerLen:])
+	meta, err = readMeta(r)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return nil, nil, nil, fmt.Errorf("unrecognized model data: no urllangid header and the payload is neither a saved classifier nor a compiled snapshot (%v)", sysErr)
+	payload := data[len(data)-r.Len():]
+	switch {
+	case int64(len(payload)) < meta.PayloadBytes:
+		return nil, nil, nil, fmt.Errorf("model payload truncated: %d of %d bytes (re-copy the file)", len(payload), meta.PayloadBytes)
+	case int64(len(payload)) > meta.PayloadBytes:
+		return nil, nil, nil, fmt.Errorf("model file carries %d bytes beyond its declared %d-byte payload (corrupted or concatenated)", int64(len(payload))-meta.PayloadBytes, meta.PayloadBytes)
+	}
+	if got := digestBytes(payload); got != meta.Digest {
+		return nil, nil, nil, fmt.Errorf("model payload corrupted: SHA-256 digest mismatch (file claims %.12s…, content is %.12s…)", meta.Digest, got)
+	}
+	sys, err = core.Load(bytes.NewReader(payload))
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("loading %s payload: %w", KindName(kind), err)
+	}
+	return sys, nil, meta, nil
 }
 
 // readFlatBytes loads a v3 flat container over data, handing the
@@ -562,43 +456,40 @@ func readFlatBytes(data []byte, mapping *flat.Mapping) (*compiled.Snapshot, *Met
 }
 
 // OpenedModel is OpenPath's result: exactly one of Sys and Snap is
-// non-nil, plus the file's metadata and content identity.
+// non-nil, plus the file's metadata.
 type OpenedModel struct {
 	// Sys is the trained system for classifier files.
 	Sys *core.System
-	// Snap is the compiled snapshot for snapshot files. For v3 files it
-	// is backed by a memory mapping and must be Closed after last use.
+	// Snap is the compiled snapshot for snapshot files. It is backed by
+	// a memory mapping and must be Closed after last use.
 	Snap *compiled.Snapshot
-	// Meta is the file's metadata (nil for version-1 and legacy files).
+	// Meta is the file's metadata. Its Digest is the content identity
+	// under which reloads compare; for snapshots it comes from the
+	// header alone (the directory hash), so computing it never touches
+	// the payloads.
 	Meta *Meta
-	// Digest is the content identity under which reloads compare: the
-	// metadata digest when the file carries one, a whole-file hash
-	// otherwise. For v3 files it comes from the header alone — the
-	// directory hash — so computing it never touches the payloads.
-	Digest string
 }
 
 // OpenPath opens the model file at path through the cheapest route its
-// container version allows: v3 flat files are memory-mapped (read
-// fallback where mmap is unavailable) and their snapshot views the
-// mapping in place — open cost independent of model size — while v1/v2
-// and legacy files are read and decoded as before. The caller owns the
-// returned snapshot's backing mapping via Snapshot.Close.
+// kind allows: a v3 snapshot is memory-mapped (read fallback where mmap
+// is unavailable) and its snapshot views the mapping in place, so open
+// cost is independent of model size, while a classifier is read and
+// decoded. Any other encoding fails as ReadBytes fails. The caller owns
+// the returned snapshot's backing mapping via Snapshot.Close.
 func OpenPath(path string) (*OpenedModel, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	// A file shorter than the sniff window can still be a (broken)
-	// legacy container, so short reads fall through to the full-read
-	// path below; real I/O errors fail here.
+	// A file shorter than the header is still read in full below, so
+	// ReadBytes reports it; real I/O errors fail here.
 	var head [headerLen]byte
 	n, err := io.ReadFull(f, head[:])
 	f.Close()
 	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if flat.IsFlat(head[:n]) {
+	if n == headerLen && head[len(magic)+1] == KindSnapshot && flat.IsFlat(head[:]) {
 		m, err := flat.MapPath(path)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
@@ -608,7 +499,7 @@ func OpenPath(path string) (*OpenedModel, error) {
 			m.Release()
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
-		return &OpenedModel{Snap: snap, Meta: meta, Digest: meta.Digest}, nil
+		return &OpenedModel{Snap: snap, Meta: meta}, nil
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -618,29 +509,5 @@ func OpenPath(path string) (*OpenedModel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	digest := ""
-	if meta != nil {
-		digest = meta.Digest
-	} else {
-		digest = DigestBytes(data)
-	}
-	return &OpenedModel{Sys: sys, Snap: snap, Meta: meta, Digest: digest}, nil
-}
-
-// completeSystem guards the legacy sniff path: gob happily decodes
-// near-miss streams into a System with nil members, which must read as
-// "not a classifier", not as a model that panics on first use.
-func completeSystem(s *core.System) bool {
-	if !s.Config.Algo.NeedsTraining() {
-		return true // baselines carry no extractor or models
-	}
-	if s.Extractor == nil {
-		return false
-	}
-	for _, m := range s.Models {
-		if m == nil {
-			return false
-		}
-	}
-	return true
+	return &OpenedModel{Sys: sys, Snap: snap, Meta: meta}, nil
 }

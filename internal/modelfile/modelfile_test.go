@@ -2,6 +2,11 @@ package modelfile
 
 import (
 	"bytes"
+	"encoding/hex"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +15,7 @@ import (
 	"urllangid/internal/core"
 	"urllangid/internal/datagen"
 	"urllangid/internal/features"
+	"urllangid/internal/modelfile/flat"
 )
 
 var (
@@ -17,7 +23,7 @@ var (
 	testSys *core.System
 )
 
-func system(t *testing.T) *core.System {
+func system(t testing.TB) *core.System {
 	t.Helper()
 	sysOnce.Do(func() {
 		ds := datagen.Generate(datagen.Config{
@@ -41,7 +47,7 @@ func TestHeaderedClassifierRoundTrip(t *testing.T) {
 	if got := buf.Bytes()[0]; got != 0x89 {
 		t.Fatalf("header starts with 0x%02x, want 0x89", got)
 	}
-	loadedSys, loadedSnap, meta, err := ReadWithMeta(bytes.NewReader(buf.Bytes()))
+	loadedSys, loadedSnap, meta, err := ReadBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +75,7 @@ func TestHeaderedSnapshotRoundTrip(t *testing.T) {
 	if err := WriteSnapshot(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
-	loadedSys, loadedSnap, meta, err := ReadWithMeta(bytes.NewReader(buf.Bytes()))
+	loadedSys, loadedSnap, meta, err := ReadBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,55 +91,58 @@ func TestHeaderedSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestInspect pins the cheap no-decode path: header + metadata only,
-// with the same digest Read verifies, and ErrNoHeader for legacy gobs.
-func TestInspect(t *testing.T) {
-	snap := compiled.FromSystem(system(t))
-	var buf bytes.Buffer
-	if err := WriteSnapshotV2(&buf, snap); err != nil {
+// writeTemp writes data to a file named name under dir.
+func writeTemp(t testing.TB, dir, name string, data []byte) string {
+	t.Helper()
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	kind, meta, err := Inspect(bytes.NewReader(buf.Bytes()))
+	return path
+}
+
+// TestInspect pins the cheap no-decode path: InspectFile reports kind
+// and metadata with the same digest Read verifies. For a classifier
+// that is the digest of exactly the payload bytes; for a v3 snapshot it
+// is the directory digest, recoverable from the header alone.
+func TestInspect(t *testing.T) {
+	dir := t.TempDir()
+	var clf bytes.Buffer
+	if err := WriteClassifier(&clf, system(t)); err != nil {
+		t.Fatal(err)
+	}
+	info, err := InspectFile(writeTemp(t, dir, "m.model", clf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind != KindSnapshot || meta == nil || meta.Mode != "linear" {
-		t.Errorf("Inspect = kind %q meta %+v", kind, meta)
+	if info.Version != 2 || info.Kind != KindClassifier || info.Meta == nil || info.Meta.Label != "NB/word" || info.Sections != nil {
+		t.Fatalf("InspectFile(classifier) = %+v", info)
 	}
-	// The stored digest is the digest of exactly the payload bytes.
-	payload := buf.Bytes()[len(buf.Bytes())-int(meta.PayloadBytes):]
-	if DigestBytes(payload) != meta.Digest {
+	payload := clf.Bytes()[clf.Len()-int(info.Meta.PayloadBytes):]
+	if digestBytes(payload) != info.Meta.Digest {
 		t.Error("stored digest does not cover the payload bytes")
 	}
 
-	// The v3 flat container inspects too: same kind and metadata, and
-	// the digest it reports is the one Read verifies (the directory
-	// hash, recoverable from the header alone).
 	var v3 bytes.Buffer
-	if err := WriteSnapshot(&v3, snap); err != nil {
+	if err := WriteSnapshot(&v3, compiled.FromSystem(system(t))); err != nil {
 		t.Fatal(err)
 	}
-	kind3, meta3, err := Inspect(bytes.NewReader(v3.Bytes()))
+	info, err = InspectFile(writeTemp(t, dir, "m.snapshot", v3.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind3 != KindSnapshot || meta3 == nil || meta3.Mode != "linear" {
-		t.Errorf("Inspect(v3) = kind %q meta %+v", kind3, meta3)
+	if info.Version != 3 || info.Kind != KindSnapshot || info.Meta == nil || info.Meta.Mode != "linear" || len(info.Sections) == 0 {
+		t.Fatalf("InspectFile(v3) = %+v", info)
 	}
-	_, dirDigest, _, err := ReadIndexFlat(bytes.NewReader(v3.Bytes()))
+	_, dirDigest, _, err := flat.ReadIndex(bytes.NewReader(v3.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta3.Digest != dirDigest {
-		t.Errorf("Inspect(v3) digest %s != directory digest %s", meta3.Digest, dirDigest)
+	if info.Meta.Digest != hex.EncodeToString(dirDigest[:]) {
+		t.Errorf("InspectFile(v3) digest %s != directory digest %x", info.Meta.Digest, dirDigest)
 	}
-
-	var legacy bytes.Buffer
-	if err := snap.Save(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Inspect(bytes.NewReader(legacy.Bytes())); err != ErrNoHeader {
-		t.Errorf("Inspect(legacy gob) = %v, want ErrNoHeader", err)
+	if _, _, meta, err := ReadBytes(v3.Bytes()); err != nil || meta.Digest != info.Meta.Digest {
+		t.Errorf("ReadBytes(v3) digest = %v, %v; InspectFile says %s", meta, err, info.Meta.Digest)
 	}
 }
 
@@ -148,85 +157,16 @@ func TestDeterministicDigest(t *testing.T) {
 	if err := WriteClassifier(&b, system(t)); err != nil {
 		t.Fatal(err)
 	}
-	_, ma, err := Inspect(bytes.NewReader(a.Bytes()))
+	_, _, ma, err := ReadBytes(a.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, mb, err := Inspect(bytes.NewReader(b.Bytes()))
+	_, _, mb, err := ReadBytes(b.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ma.Digest != mb.Digest {
 		t.Errorf("digests differ across identical saves: %s vs %s", ma.Digest, mb.Digest)
-	}
-}
-
-// TestVersion1FilesStillLoad pins compatibility with the previous
-// container version: header + payload, no metadata block.
-func TestVersion1FilesStillLoad(t *testing.T) {
-	sys := system(t)
-	var payload bytes.Buffer
-	if err := sys.Save(&payload); err != nil {
-		t.Fatal(err)
-	}
-	var v1 bytes.Buffer
-	v1.Write(magic[:])
-	v1.WriteByte(versionPlain)
-	v1.WriteByte(KindClassifier)
-	v1.Write(payload.Bytes())
-
-	gotSys, gotSnap, meta, err := ReadWithMeta(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatalf("version-1 file rejected: %v", err)
-	}
-	if gotSnap != nil || gotSys == nil || meta != nil {
-		t.Fatalf("version-1 file read as (sys=%v snap=%v meta=%v)", gotSys != nil, gotSnap != nil, meta)
-	}
-	u := "http://www.nachrichten-seite.de/artikel"
-	if gotSys.Scores(u) != sys.Scores(u) {
-		t.Error("version-1 classifier scores differ")
-	}
-	if kind, meta, err := Inspect(bytes.NewReader(v1.Bytes())); err != nil || kind != KindClassifier || meta != nil {
-		t.Errorf("Inspect(v1) = kind %q meta %v err %v", kind, meta, err)
-	}
-}
-
-// TestLegacyHeaderlessFiles pins backward compatibility: raw gob
-// payloads written by the pre-header Save paths must still load, and
-// must resolve to the right kind.
-func TestLegacyHeaderlessFiles(t *testing.T) {
-	sys := system(t)
-	u := "http://www.nachrichten-seite.de/artikel"
-
-	var legacyClf bytes.Buffer
-	if err := sys.Save(&legacyClf); err != nil {
-		t.Fatal(err)
-	}
-	gotSys, gotSnap, err := Read(&legacyClf)
-	if err != nil {
-		t.Fatalf("legacy classifier gob rejected: %v", err)
-	}
-	if gotSnap != nil || gotSys == nil {
-		t.Fatal("legacy classifier gob resolved to the wrong kind")
-	}
-	if gotSys.Scores(u) != sys.Scores(u) {
-		t.Error("legacy classifier scores differ")
-	}
-
-	snap := compiled.FromSystem(sys)
-	var legacySnap bytes.Buffer
-	if err := snap.Save(&legacySnap); err != nil {
-		t.Fatal(err)
-	}
-	gotSys, gotSnap, err = Read(&legacySnap)
-	if err != nil {
-		t.Fatalf("legacy snapshot gob rejected: %v", err)
-	}
-	if gotSys != nil || gotSnap == nil {
-		t.Fatal("legacy snapshot gob resolved to the wrong kind")
-	}
-	if gotSnap.Scores(u) != snap.Scores(u) {
-		t.Error("legacy snapshot scores differ")
 	}
 }
 
@@ -260,8 +200,8 @@ func TestReadRejectsEmptyAndTruncated(t *testing.T) {
 		{"trailing garbage", append(bytes.Clone(fb), "oops"...), "beyond its declared", "truncated"},
 		{"flipped payload byte", corrupt, "digest mismatch", "gob"},
 		{"small text", []byte("hello"), "not a model file (5 bytes", "gob"},
-		{"large text", bytes.Repeat([]byte("not a model file at all, just text. "), 4), "unrecognized model data", ""},
-		{"large noise", bytes.Repeat([]byte{0xff, 0x00, 0x55}, 50), "unrecognized model data", ""},
+		{"large text", bytes.Repeat([]byte("not a model file at all, just text. "), 4), "not a model file (144 bytes", ""},
+		{"large noise", bytes.Repeat([]byte{0xff, 0x00, 0x55}, 50), "not a model file (150 bytes", ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -279,57 +219,135 @@ func TestReadRejectsEmptyAndTruncated(t *testing.T) {
 	}
 }
 
+// encodingCase is one model file this build must reject, with the
+// substring its error must contain.
+type encodingCase struct {
+	name string
+	data []byte
+	want string
+}
+
+// retiredEncodings builds one file of sys in each encoding earlier
+// releases wrote and this build no longer reads: a headerless
+// classifier gob, a version-1 container of each kind, and a version-2
+// snapshot. Each
+// error must name the command that writes the current encoding.
+func retiredEncodings(t testing.TB, sys *core.System) []encodingCase {
+	t.Helper()
+	var gob, v2 bytes.Buffer
+	if err := sys.Save(&gob); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteClassifier(&v2, sys); err != nil {
+		t.Fatal(err)
+	}
+	v1 := func(kind byte) []byte {
+		return append(append(bytes.Clone(magic[:]), 1, kind), gob.Bytes()...)
+	}
+	v2snap := bytes.Clone(v2.Bytes())
+	v2snap[len(magic)+1] = KindSnapshot
+	return []encodingCase{
+		{"headerless classifier gob", gob.Bytes(), `"urllangid train"`},
+		{"v1 classifier", v1(KindClassifier), `"urllangid train"`},
+		{"v1 snapshot", v1(KindSnapshot), `"urllangid compile"`},
+		{"v2 snapshot", v2snap, `"urllangid compile"`},
+	}
+}
+
+// TestReadRejectsUnknownKindAndVersion: every encoding other than a
+// version-2 classifier or a version-3 snapshot fails in ReadBytes,
+// OpenPath and InspectFile alike, with an error that names what it
+// found and, for a known kind, the command that rewrites it.
 func TestReadRejectsUnknownKindAndVersion(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write(magic[:])
-	buf.WriteByte(versionMeta)
-	buf.WriteByte('Z')
-	buf.Write(make([]byte, 64)) // a plausible metadata-length frame
-	if _, _, err := Read(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "unknown kind") {
-		t.Errorf("unknown kind error = %v", err)
-	}
-
-	buf.Reset()
-	buf.Write(magic[:])
-	buf.WriteByte(versionMeta + 1)
-	buf.WriteByte(KindClassifier)
-	if _, _, err := Read(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Errorf("future version error = %v", err)
+	cases := append(retiredEncodings(t, system(t)),
+		encodingCase{"unknown kind", append(append(bytes.Clone(magic[:]), versionClassifier, 'Z'), make([]byte, 64)...), "unknown kind"},
+		encodingCase{"v3 classifier", append(bytes.Clone(magic[:]), versionSnapshot, KindClassifier), `"urllangid train"`},
+		encodingCase{"future snapshot version", append(bytes.Clone(magic[:]), versionSnapshot+1, KindSnapshot), "container version 4"},
+	)
+	dir := t.TempDir()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := writeTemp(t, dir, strings.ReplaceAll(tc.name, " ", "-"), tc.data)
+			check := func(entry string, err error) {
+				t.Helper()
+				if err == nil {
+					t.Fatalf("%s accepted a %s", entry, tc.name)
+				}
+				if !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s error %q does not contain %s", entry, err, tc.want)
+				}
+			}
+			sys, snap, meta, err := ReadBytes(tc.data)
+			if sys != nil || snap != nil || meta != nil {
+				t.Errorf("ReadBytes returned a model alongside %v", err)
+			}
+			check("ReadBytes", err)
+			om, err := OpenPath(path)
+			if om != nil {
+				t.Errorf("OpenPath returned a model alongside %v", err)
+			}
+			check("OpenPath", err)
+			info, err := InspectFile(path)
+			if info != nil {
+				t.Errorf("InspectFile returned a report alongside %v", err)
+			}
+			check("InspectFile", err)
+		})
 	}
 }
 
-// TestReadRejectsTruncatedV1Payload: a version-1 header followed by a
-// cut-off payload must error, naming the declared kind.
-func TestReadRejectsTruncatedV1Payload(t *testing.T) {
-	var payload bytes.Buffer
-	if err := system(t).Save(&payload); err != nil {
+// TestWriteFile pins the rename write: the new file gets the mode
+// os.Create gives, a reader holding the old file keeps the old bytes,
+// and a failed write leaves the old file and no temporary file behind.
+func TestWriteFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "m.snapshot")
+	put := func(data string) func(io.Writer) error {
+		return func(w io.Writer) error {
+			_, err := io.WriteString(w, data)
+			return err
+		}
+	}
+	if err := WriteFile(path, put("old")); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	buf.Write(magic[:])
-	buf.WriteByte(versionPlain)
-	buf.WriteByte(KindClassifier)
-	buf.Write(payload.Bytes()[:16])
-	if _, _, err := Read(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "trained classifier") {
-		t.Errorf("truncated v1 payload error = %v", err)
+	ref, err := os.Create(filepath.Join(dir, "ref"))
+	if err != nil {
+		t.Fatal(err)
 	}
-}
+	ref.Close()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rst, err := os.Stat(ref.Name()); err != nil || st.Mode() != rst.Mode() {
+		t.Errorf("WriteFile made mode %v, os.Create makes %v (%v)", st.Mode(), rst.Mode(), err)
+	}
 
-// TestLegacySnapshotNeverMisreadAsClassifier guards the sniff ordering:
-// a snapshot gob force-decoded as a classifier yields an empty System,
-// so the snapshot decoder must win and the classifier guard must hold.
-func TestLegacySnapshotNeverMisreadAsClassifier(t *testing.T) {
-	snap := compiled.FromSystem(system(t))
-	var buf bytes.Buffer
-	if err := snap.Save(&buf); err != nil {
+	held, err := os.Open(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	sys, gotSnap, err := Read(&buf)
-	if err != nil || sys != nil || gotSnap == nil {
-		t.Fatalf("sniff resolved to sys=%v snap=%v err=%v", sys != nil, gotSnap != nil, err)
+	defer held.Close()
+	if err := WriteFile(path, put("new")); err != nil {
+		t.Fatal(err)
 	}
-	if !completeSystem(system(t)) {
-		t.Error("completeSystem rejects a genuinely trained system")
+	if got, err := io.ReadAll(held); err != nil || string(got) != "old" {
+		t.Errorf("reader of the replaced file got %q, %v; want the old bytes", got, err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "new" {
+		t.Errorf("path holds %q, %v; want the new bytes", got, err)
+	}
+
+	boom := errors.New("boom")
+	if err := WriteFile(path, func(io.Writer) error { return boom }); !errors.Is(err, boom) {
+		t.Errorf("failed write returned %v, want %v", err, boom)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "new" {
+		t.Errorf("failed write left %q, %v; want the previous file", got, err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 2 {
+		t.Errorf("directory holds %v, %v; want only the model and the reference file", entries, err)
 	}
 }
 

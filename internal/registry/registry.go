@@ -26,9 +26,9 @@
 // arrived, and the engine underneath an acquired lease is never closed.
 //
 // Reload re-opens a slot's backing file, compares content digests (the
-// modelfile metadata digest, or a whole-file hash for legacy files) and
-// swaps only when the content actually changed, making SIGHUP-style
-// "reload everything" handlers free when nothing was redeployed.
+// modelfile metadata digest) and swaps only when the content actually
+// changed, making SIGHUP-style "reload everything" handlers free when
+// nothing was redeployed.
 //
 // The registry implements serve.Resolver, which is how the HTTP layer
 // resolves an engine per request instead of capturing one at handler
@@ -364,14 +364,13 @@ func (r *Registry) Reload(name string) (serve.ModelInfo, bool, error) {
 	if cur.info.Path == "" {
 		return cur.info, false, fmt.Errorf("%q: %w", name, serve.ErrNotReloadable)
 	}
-	// Cheap probe first: for headered files the content digest is
-	// recoverable from the header/metadata alone — for a v3 flat file
-	// that is one small read of the section directory, no mapping and no
-	// payload traffic — so the no-change case costs microseconds
-	// regardless of model size. Any probe failure falls through to the
-	// full open, which reports the real error.
-	if fi, err := modelfile.InspectFile(cur.info.Path); err == nil &&
-		fi.Meta != nil && fi.Meta.Digest == cur.info.Digest {
+	// Cheap probe first: the content digest is recoverable from the
+	// header and metadata alone — for a v3 flat file that is one small
+	// read of the section directory, no mapping and no payload traffic —
+	// so the no-change case costs microseconds regardless of model size.
+	// Any probe failure falls through to the full open, which reports
+	// the real error.
+	if fi, err := modelfile.InspectFile(cur.info.Path); err == nil && fi.Meta.Digest == cur.info.Digest {
 		return cur.info, false, nil
 	}
 	snap, digest, err := readModelFile(cur.info.Path)
@@ -425,11 +424,9 @@ func (r *Registry) Close() error {
 }
 
 // readModelFile loads a model file of either kind as a compiled
-// snapshot plus its content digest: the metadata digest for current
-// files, a whole-file hash for headerless/v1 files (equivalent for
-// change detection — same bytes, same digest). Flat v3 files come back
-// memory-mapped; the returned snapshot's Close releases the mapping
-// (and is a no-op for every other kind).
+// snapshot plus its content digest, the file's metadata digest.
+// Snapshot files come back memory-mapped; the returned snapshot's Close
+// releases the mapping (and is a no-op for a compiled classifier).
 func readModelFile(path string) (*compiled.Snapshot, string, error) {
 	om, err := modelfile.OpenPath(path)
 	if err != nil {
@@ -439,5 +436,5 @@ func readModelFile(path string) (*compiled.Snapshot, string, error) {
 	if snap == nil {
 		snap = compiled.FromSystem(om.Sys)
 	}
-	return snap, om.Digest, nil
+	return snap, om.Meta.Digest, nil
 }

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -195,35 +196,6 @@ func TestRegistryReloadRejectsProgrammaticSlot(t *testing.T) {
 	}
 }
 
-// TestRegistryLoadsLegacyHeaderlessFile: pre-header gob files work and
-// get a whole-file digest, so reload change detection still functions.
-func TestRegistryLoadsLegacyHeaderlessFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "legacy.model")
-	sys := trainSystem(t, 31)
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	reg := New(Options{})
-	defer reg.Close()
-	info, err := reg.LoadFile("legacy", path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(info.Digest) != 64 {
-		t.Errorf("legacy digest = %q", info.Digest)
-	}
-	if _, changed, err := reg.Reload("legacy"); err != nil || changed {
-		t.Errorf("legacy no-op reload = (%v, %v)", changed, err)
-	}
-}
-
 func TestRegistryLoadFileErrors(t *testing.T) {
 	reg := New(Options{})
 	defer reg.Close()
@@ -237,6 +209,20 @@ func TestRegistryLoadFileErrors(t *testing.T) {
 	_, err := reg.LoadFile("m", empty)
 	if err == nil || !strings.Contains(err.Error(), "not a model file (0 bytes") {
 		t.Errorf("empty file error = %v", err)
+	}
+	// A headerless classifier gob, as releases before the container
+	// header saved it, no longer loads and names the command to rerun.
+	var gob bytes.Buffer
+	if err := trainSystem(t, 31).Save(&gob); err != nil {
+		t.Fatal(err)
+	}
+	legacy := filepath.Join(t.TempDir(), "legacy.model")
+	if err := os.WriteFile(legacy, gob.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = reg.LoadFile("m", legacy)
+	if err == nil || !strings.Contains(err.Error(), `"urllangid train"`) {
+		t.Errorf("headerless gob error = %v", err)
 	}
 	if len(reg.Models()) != 0 {
 		t.Error("failed load left a slot behind")

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -12,6 +13,7 @@ import (
 
 	"urllangid/internal/compiled"
 	"urllangid/internal/langid"
+	"urllangid/internal/modelfile"
 	"urllangid/internal/serve"
 )
 
@@ -182,27 +184,27 @@ func TestRegistrySwapStress(t *testing.T) {
 	}
 }
 
+// writeSnapshotFile writes snap to path as a v3 file, by rename.
 func writeSnapshotFile(t testing.TB, path string, snap *compiled.Snapshot) {
 	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := snap.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := modelfile.WriteFile(path, snap.WriteFlat); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// copyFile redeploys src to dst by rename: the registry may have dst
+// mapped, and an in-place rewrite would change the mapped bytes.
 func copyFile(t testing.TB, dst, src string) {
 	t.Helper()
 	data, err := os.ReadFile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(dst, data, 0o644); err != nil {
+	err = modelfile.WriteFile(dst, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 }

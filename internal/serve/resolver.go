@@ -24,9 +24,9 @@ type ModelInfo struct {
 	// monotonic per name: every successful swap or effective reload
 	// bumps it.
 	Version int64 `json:"version"`
-	// Digest is the model's content identity (the model file's SHA-256
-	// metadata digest, or the whole-file hash for legacy files). Empty
-	// for models installed programmatically rather than from a file.
+	// Digest is the model's content identity, the model file's SHA-256
+	// metadata digest. Empty for models installed programmatically
+	// rather than from a file.
 	Digest string `json:"digest,omitempty"`
 	// Path is the backing model file, when there is one; Reload re-opens
 	// it.

@@ -45,26 +45,6 @@ func New(names []string) Table {
 	return t
 }
 
-// FromWire revalidates a deserialised blob/offset pair and rebuilds the
-// probe slots (which are derived state and never persisted). n is the
-// expected entry count.
-func FromWire(blob []byte, offs []uint32, n int) (Table, error) {
-	if len(offs) != n+1 {
-		return Table{}, fmt.Errorf("strtab: table has %d offsets, want %d", len(offs), n+1)
-	}
-	for i := 1; i < len(offs); i++ {
-		if offs[i] < offs[i-1] {
-			return Table{}, fmt.Errorf("strtab: table offsets not monotonic at %d", i)
-		}
-	}
-	if n > 0 && int(offs[n]) != len(blob) {
-		return Table{}, fmt.Errorf("strtab: table blob has %d bytes, offsets claim %d", len(blob), offs[n])
-	}
-	t := Table{blob: blob, offs: offs}
-	t.rebuild()
-	return t, nil
-}
-
 // rebuild populates the probe slots from blob/offs.
 func (t *Table) rebuild() {
 	n := len(t.offs) - 1
@@ -113,7 +93,7 @@ func (t *Table) Blob() []byte { return t.blob }
 func (t *Table) Offsets() []uint32 { return t.offs }
 
 // Slots exposes the probe slot array for persistence. Unlike Blob and
-// Offsets it is derived state — rebuild regenerates it from them — but
+// Offsets it is derived state — New builds it from them — but
 // persisting it lets a flat container restore the table without the
 // O(n) rebuild: the stored buckets are probed in place (FromFlat). The
 // returned slice must not be modified.

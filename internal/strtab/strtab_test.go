@@ -47,35 +47,6 @@ func TestTableDense(t *testing.T) {
 	}
 }
 
-func TestFromWireRoundTrip(t *testing.T) {
-	names := []string{"alpha", "beta", "", "gamma"} // empty names are legal
-	tab := New(names)
-	back, err := FromWire(tab.Blob(), tab.Offsets(), tab.Len())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range names {
-		if id, ok := back.Lookup(n); !ok || id != uint32(i) {
-			t.Errorf("rebuilt Lookup(%q) = %d, %v; want %d", n, id, ok, i)
-		}
-	}
-}
-
-func TestFromWireValidation(t *testing.T) {
-	tab := New([]string{"aa", "bb", "cc"})
-	if _, err := FromWire(tab.Blob(), tab.Offsets()[:2], tab.Len()); err == nil {
-		t.Error("short offsets accepted")
-	}
-	bad := append([]uint32(nil), tab.Offsets()...)
-	bad[1], bad[2] = bad[2]+1, bad[1]
-	if _, err := FromWire(tab.Blob(), bad, tab.Len()); err == nil {
-		t.Error("non-monotonic offsets accepted")
-	}
-	if _, err := FromWire(tab.Blob()[:3], tab.Offsets(), tab.Len()); err == nil {
-		t.Error("truncated blob accepted")
-	}
-}
-
 func TestLookupZeroAlloc(t *testing.T) {
 	tab := New([]string{"wetter", "bericht", "nachrichten"})
 	if avg := testing.AllocsPerRun(100, func() {

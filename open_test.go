@@ -7,24 +7,7 @@ import (
 	"testing"
 
 	"urllangid"
-	"urllangid/internal/compiled"
-	"urllangid/internal/core"
-	"urllangid/internal/features"
 )
-
-// trainInternalSystem trains through internal/core directly, so the
-// test can write legacy (headerless) files exactly as the pre-header
-// Save paths did.
-func trainInternalSystem(t *testing.T) *core.System {
-	t.Helper()
-	sys, err := core.Train(
-		core.Config{Algo: core.NaiveBayes, Features: features.Words, Seed: 21},
-		trainSamples(t, 300))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys
-}
 
 func TestOpenDetectsKind(t *testing.T) {
 	clf, err := urllangid.Train(urllangid.Options{Seed: 12}, trainSamples(t, 300))
@@ -53,56 +36,6 @@ func TestOpenDetectsKind(t *testing.T) {
 	}
 	if _, ok := m.(*urllangid.Snapshot); !ok {
 		t.Fatalf("snapshot file opened as %T", m)
-	}
-}
-
-// TestOpenLoadsLegacyHeaderlessFiles pins the PR 1/2 compatibility
-// promise: raw core.System and compiled.Snapshot gobs (what Save wrote
-// before the header existed) still load through Open, Load and
-// LoadSnapshot, with bit-identical classification.
-func TestOpenLoadsLegacyHeaderlessFiles(t *testing.T) {
-	sys := trainInternalSystem(t)
-	u := "http://www.nachrichten-wetter.de/zeitung"
-
-	var legacyClf bytes.Buffer
-	if err := sys.Save(&legacyClf); err != nil {
-		t.Fatal(err)
-	}
-	legacyClfBytes := legacyClf.Bytes()
-	m, err := urllangid.Open(bytes.NewReader(legacyClfBytes))
-	if err != nil {
-		t.Fatalf("legacy classifier gob rejected: %v", err)
-	}
-	clf, ok := m.(*urllangid.Classifier)
-	if !ok {
-		t.Fatalf("legacy classifier file opened as %T", m)
-	}
-	if clf.Classify(u).Scores() != sys.Scores(u) {
-		t.Error("legacy classifier classifies differently after Open")
-	}
-	if _, err := urllangid.Load(bytes.NewReader(legacyClfBytes)); err != nil {
-		t.Errorf("Load rejected a legacy classifier file: %v", err)
-	}
-
-	snap := compiled.FromSystem(sys)
-	var legacySnap bytes.Buffer
-	if err := snap.Save(&legacySnap); err != nil {
-		t.Fatal(err)
-	}
-	legacySnapBytes := legacySnap.Bytes()
-	m, err = urllangid.Open(bytes.NewReader(legacySnapBytes))
-	if err != nil {
-		t.Fatalf("legacy snapshot gob rejected: %v", err)
-	}
-	pubSnap, ok := m.(*urllangid.Snapshot)
-	if !ok {
-		t.Fatalf("legacy snapshot file opened as %T", m)
-	}
-	if pubSnap.Classify(u).Scores() != snap.Scores(u) {
-		t.Error("legacy snapshot classifies differently after Open")
-	}
-	if _, err := urllangid.LoadSnapshot(bytes.NewReader(legacySnapBytes)); err != nil {
-		t.Errorf("LoadSnapshot rejected a legacy snapshot file: %v", err)
 	}
 }
 

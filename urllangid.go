@@ -302,53 +302,9 @@ func (c *Classifier) Compile() *Snapshot {
 	return &Snapshot{snap: compiled.FromSystem(c.sys)}
 }
 
-// Predictions returns all five scored binary decisions for a URL, in
-// canonical language order.
-//
-// Deprecated: use Classify(rawURL).Predictions().
-func (c *Classifier) Predictions(rawURL string) []Prediction {
-	return c.Classify(rawURL).Predictions()
-}
-
-// Languages returns the languages whose classifiers answered "yes" for
-// the URL. The slice may be empty (no classifier claimed the URL) or
-// contain several languages — the five decisions are independent, as in
-// the paper.
-//
-// Deprecated: use Classify(rawURL).Languages().
-func (c *Classifier) Languages(rawURL string) []Language {
-	return c.Classify(rawURL).Languages()
-}
-
-// Is answers the single binary question "is this URL in language l?".
-// Invalid languages are never claimed.
-//
-// Deprecated: use Classify(rawURL).Is(l).
-func (c *Classifier) Is(rawURL string, l Language) bool {
-	return c.Classify(rawURL).Is(l)
-}
-
-// Best returns the highest-scoring language for the URL. The boolean
-// reports whether any classifier actually answered "yes"; when false the
-// returned language is only the least unlikely guess.
-//
-// Deprecated: use Classify(rawURL).Best().
-func (c *Classifier) Best(rawURL string) (Language, float64, bool) {
-	return c.Classify(rawURL).Best()
-}
-
-// PredictionsBatch classifies many URLs in parallel, returning one
-// prediction slice per URL in input order.
-//
-// Deprecated: use ClassifyBatch, or a Batcher for sustained workloads
-// (it adds a persistent worker pool and result caching).
-func (c *Classifier) PredictionsBatch(urls []string) [][]Prediction {
-	return expandBatch(c.ClassifyBatch(urls))
-}
-
-// Load restores a classifier saved with Classifier.Save (headerless
-// files from earlier releases load too). Handed a snapshot file, it
-// fails with an error saying so; use Open when the kind is unknown.
+// Load restores a classifier saved with Classifier.Save. Handed a
+// snapshot file, it fails with an error saying so; use Open when the
+// kind is unknown.
 func Load(r io.Reader) (*Classifier, error) {
 	m, err := Open(r)
 	if err != nil {
@@ -379,9 +335,8 @@ type Snapshot struct {
 }
 
 // LoadSnapshot restores a snapshot saved with Snapshot.Save, e.g. the
-// output of "urllangid compile" (headerless files from earlier releases
-// load too). Handed a classifier file, it fails with an error saying
-// so; use Open when the kind is unknown.
+// output of "urllangid compile". Handed a classifier file, it fails
+// with an error saying so; use Open when the kind is unknown.
 func LoadSnapshot(r io.Reader) (*Snapshot, error) {
 	m, err := Open(r)
 	if err != nil {
@@ -396,9 +351,9 @@ func LoadSnapshot(r io.Reader) (*Snapshot, error) {
 
 // Open loads a model of either kind — trained classifier or compiled
 // snapshot — from its self-describing file format, dispatching on the
-// header. Headerless gob files written by earlier releases are sniffed
-// and still load. The error for unrecognizable data names both accepted
-// formats.
+// header. A file in an encoding earlier releases wrote fails with an
+// error naming the command that rewrites it: "urllangid train" for a
+// classifier, "urllangid compile" for a snapshot.
 func Open(r io.Reader) (Model, error) {
 	sys, snap, err := modelfile.Read(r)
 	if err != nil {
@@ -415,8 +370,14 @@ func Open(r io.Reader) (Model, error) {
 // and served zero-copy: open cost is independent of model size
 // (microseconds, not proportional to megabytes), payload integrity is
 // digest-verified lazily on the first classification, and the snapshot
-// views the mapping in place until Close. Every other container —
-// version 1/2 and headerless legacy gobs — loads exactly as Open does.
+// views the mapping in place until Close. A classifier file loads
+// exactly as Open loads it, and any other encoding fails as it does in
+// Open.
+//
+// Replace a file a process may have open by rename, never by
+// rewriting it in place: the mapping shares the file's pages, so an
+// in-place rewrite changes a mapped snapshot's answers or, when it
+// truncates the file, kills the process.
 //
 // A Snapshot returned by OpenFile must be Closed after last use to
 // release its mapping; Close on a non-mapped model is a free no-op.
@@ -558,48 +519,6 @@ func (s *Snapshot) Compiled() bool { return s.snap.Compiled() }
 // "tld" (country-code baseline).
 func (s *Snapshot) Mode() string { return s.snap.Mode() }
 
-// Predictions returns all five scored binary decisions for a URL, in
-// canonical language order, bit-identical to the source classifier's.
-//
-// Deprecated: use Classify(rawURL).Predictions().
-func (s *Snapshot) Predictions(rawURL string) []Prediction {
-	return s.Classify(rawURL).Predictions()
-}
-
-// Languages returns the languages whose classifiers answered "yes".
-//
-// Deprecated: use Classify(rawURL).Languages().
-func (s *Snapshot) Languages(rawURL string) []Language {
-	return s.Classify(rawURL).Languages()
-}
-
-// Is answers the single binary question "is this URL in language l?".
-// Invalid languages are never claimed.
-//
-// Deprecated: use Classify(rawURL).Is(l).
-func (s *Snapshot) Is(rawURL string, l Language) bool {
-	return s.Classify(rawURL).Is(l)
-}
-
-// Best returns the highest-scoring language for the URL, as
-// Classifier.Best does.
-//
-// Deprecated: use Classify(rawURL).Best().
-func (s *Snapshot) Best(rawURL string) (Language, float64, bool) {
-	return s.Classify(rawURL).Best()
-}
-
-// PredictionsBatch classifies many URLs in parallel, in input order.
-// Earlier releases embedded a hidden persistent 64k result cache here,
-// so repeated calls over overlapping frontiers were mostly cache hits;
-// this wrapper scores every batch afresh.
-//
-// Deprecated: use ClassifyBatch, or — to keep the cross-call caching —
-// a Batcher: NewBatcher(snap, WithCache(1<<16)).
-func (s *Snapshot) PredictionsBatch(urls []string) [][]Prediction {
-	return expandBatch(s.ClassifyBatch(urls))
-}
-
 // classifyBatchOnce runs one ordered, deduplicated batch through a
 // transient serving engine: worker-pool parallelism sized to the batch
 // (tiny batches skip the pool entirely), no cache, no stats, nothing
@@ -622,16 +541,6 @@ func collapseBatch(res []serve.Result) []Result {
 	out := make([]Result, len(res))
 	for i, r := range res {
 		out[i] = r.Result
-	}
-	return out
-}
-
-// expandBatch converts Results into the deprecated prediction-slice
-// shape.
-func expandBatch(res []Result) [][]Prediction {
-	out := make([][]Prediction, len(res))
-	for i, r := range res {
-		out[i] = r.Predictions()
 	}
 	return out
 }

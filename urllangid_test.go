@@ -38,10 +38,11 @@ func TestClassifierEndToEnd(t *testing.T) {
 		"http://www.notizie-azienda.it/prodotti":   urllangid.Italian,
 	}
 	for u, want := range cases {
-		if !clf.Is(u, want) {
+		r := clf.Classify(u)
+		if !r.Is(want) {
 			t.Errorf("Is(%s, %v) = false", u, want)
 		}
-		best, _, claimed := clf.Best(u)
+		best, _, claimed := r.Best()
 		if !claimed || best != want {
 			t.Errorf("Best(%s) = %v (claimed=%v), want %v", u, best, claimed, want)
 		}
@@ -53,7 +54,7 @@ func TestPredictionsComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds := clf.Predictions("http://www.example.com/page")
+	preds := clf.Classify("http://www.example.com/page").Predictions()
 	if len(preds) != urllangid.NumLanguages {
 		t.Fatalf("got %d predictions", len(preds))
 	}
@@ -81,7 +82,7 @@ func TestSaveLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := "http://www.wetter-bericht.de/heute"
-	a, b := clf.Predictions(u), loaded.Predictions(u)
+	a, b := clf.Classify(u).Predictions(), loaded.Classify(u).Predictions()
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("predictions differ after Save/Load")
@@ -108,19 +109,20 @@ func TestCompileSnapshotMatchesClassifier(t *testing.T) {
 		"", "not a url", "http://user:pw@host.es:9/x%20y",
 	}
 	for _, u := range urls {
-		a, b := clf.Predictions(u), snap.Predictions(u)
+		want, got := clf.Classify(u), snap.Classify(u)
+		a, b := want.Predictions(), got.Predictions()
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("snapshot predictions differ on %q: %+v vs %+v", u, a[i], b[i])
 			}
 		}
-		wantLang, wantScore, wantAny := clf.Best(u)
-		gotLang, gotScore, gotAny := snap.Best(u)
+		wantLang, wantScore, wantAny := want.Best()
+		gotLang, gotScore, gotAny := got.Best()
 		if wantLang != gotLang || wantScore != gotScore || wantAny != gotAny {
 			t.Fatalf("snapshot Best differs on %q", u)
 		}
 		for _, l := range urllangid.Languages() {
-			if clf.Is(u, l) != snap.Is(u, l) {
+			if want.Is(l) != got.Is(l) {
 				t.Fatalf("snapshot Is differs on %q/%v", u, l)
 			}
 		}
@@ -142,7 +144,7 @@ func TestSnapshotSaveLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := "http://www.wetter-bericht.de/heute"
-	a, b := snap.Predictions(u), loaded.Predictions(u)
+	a, b := snap.Classify(u).Predictions(), loaded.Classify(u).Predictions()
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("snapshot predictions differ after Save/LoadSnapshot")
@@ -163,28 +165,23 @@ func TestPredictionsBatch(t *testing.T) {
 		urls[i] = "http://www.seite-" + string(rune('a'+i%26)) + ".de/artikel"
 	}
 	urls = append(urls, "", "garbage url")
-	batch := clf.PredictionsBatch(urls)
+	batch := clf.ClassifyBatch(urls)
 	if len(batch) != len(urls) {
-		t.Fatalf("batch returned %d slices for %d urls", len(batch), len(urls))
+		t.Fatalf("batch returned %d results for %d urls", len(batch), len(urls))
 	}
 	for i, u := range urls {
-		want := clf.Predictions(u)
-		for j := range want {
-			if batch[i][j] != want[j] {
-				t.Fatalf("batch[%d] differs from Predictions(%q)", i, u)
-			}
+		if batch[i] != clf.Classify(u) {
+			t.Fatalf("batch[%d] differs from Classify(%q)", i, u)
 		}
 	}
 	// Snapshot batching must agree too.
-	snapBatch := clf.Compile().PredictionsBatch(urls)
+	snapBatch := clf.Compile().ClassifyBatch(urls)
 	for i := range urls {
-		for j := range snapBatch[i] {
-			if snapBatch[i][j] != batch[i][j] {
-				t.Fatalf("snapshot batch differs at %d", i)
-			}
+		if snapBatch[i] != batch[i] {
+			t.Fatalf("snapshot batch differs at %d", i)
 		}
 	}
-	if got := clf.PredictionsBatch(nil); len(got) != 0 {
+	if got := clf.ClassifyBatch(nil); len(got) != 0 {
 		t.Errorf("empty batch returned %d results", len(got))
 	}
 }
@@ -200,11 +197,11 @@ func TestBaselineWithoutTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	langs := clf.Languages("http://www.example.it/pagina")
+	langs := clf.Classify("http://www.example.it/pagina").Languages()
 	if len(langs) != 1 || langs[0] != urllangid.Italian {
 		t.Errorf("ccTLD .it = %v", langs)
 	}
-	if langs := clf.Languages("http://example.com"); len(langs) != 0 {
+	if langs := clf.Classify("http://example.com").Languages(); len(langs) != 0 {
 		t.Errorf("plain ccTLD claimed .com: %v", langs)
 	}
 }
@@ -225,7 +222,7 @@ func TestAllOptionCombinations(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v/%v: %v", a, f, err)
 			}
-			_ = clf.Languages("http://www.beispiel.de/seite")
+			_ = clf.Classify("http://www.beispiel.de/seite").Languages()
 		}
 	}
 }
@@ -257,5 +254,5 @@ func TestTrainOnContentOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = clf.Languages("http://www.wetter.de")
+	_ = clf.Classify("http://www.wetter.de").Languages()
 }
