@@ -44,7 +44,7 @@ SERVE_FUZZ := FuzzDecodeClassify FuzzStreamLine FuzzClassifyHandler FuzzStreamHa
 API_SURFACE := api/urllangid.txt
 API_DISTILL := $(GO) doc -all . | awk '/^(CONSTANTS|VARIABLES|FUNCTIONS|TYPES)$$/{on=1} on && NF && substr($$0,1,4) != "    "'
 
-.PHONY: verify build fmt vet staticcheck lint vuln tools test race fuzz-smoke bench bench-json fuzz api api-check escape escape-accept
+.PHONY: verify build fmt vet staticcheck lint vuln tools test race fuzz-smoke bench fuzz api api-check escape escape-accept
 
 verify: fmt vet staticcheck lint escape build api-check test race fuzz-smoke vuln
 
@@ -155,14 +155,6 @@ api-check:
 bench:
 	$(GO) test -run NONE -bench 'Predict|Classify|Batcher|Extract|ParseURL|Normalize' -benchmem .
 	$(GO) test -run NONE -bench . -benchmem ./internal/serve
-
-# The committed serving-trajectory benchmark: a self-hosted loadgen run
-# writing BENCH_<n>.json at the repo root (throughput, request latency
-# percentiles, cache hit ratio, allocs/URL). Each PR that touches the
-# serving path bumps <n> and commits a fresh point, so the files form a
-# trajectory rather than overwriting history.
-bench-json:
-	$(GO) run ./cmd/urllangid-loadgen -duration 10s -out BENCH_4.json
 
 fuzz:
 	$(GO) test ./internal/urlx/ -run NONE -fuzz FuzzParseConsistency -fuzztime 30s

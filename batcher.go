@@ -8,19 +8,18 @@ import (
 	"urllangid/internal/serve"
 )
 
-// Batcher wraps any Model with the serving engine: a persistent worker
-// pool for batch fan-out, an optional sharded result cache keyed by the
-// model's URL normal form, and optional serving statistics. Unlike the
-// transient pool behind Model.ClassifyBatch, a Batcher keeps its
-// workers and cache alive across calls — build one per long-lived
-// serving loop and Close it when done, or the worker goroutines stay
-// parked forever.
+// Batcher wraps any Model with the serving engine: batch fan-out over
+// a bounded number of helper goroutines, an optional sharded result
+// cache keyed by the model's URL normal form, and optional serving
+// statistics. Unlike Model.ClassifyBatch, a Batcher keeps its cache and
+// stats across calls — build one per long-lived serving loop. It holds
+// no goroutines between calls, so there is nothing to close.
 //
 // A Batcher is itself a Model, so it can be dropped anywhere one is
 // expected; Describe and Save delegate to the wrapped model. Wrapping a
 // Batcher in another Batcher does not stack engines: NewBatcher unwraps
-// to the innermost model, so only the outer Batcher's pool, cache and
-// stats apply — configure the one you keep, and don't nest them
+// to the innermost model, so only the outer Batcher's workers, cache
+// and stats apply — configure the one you keep, and don't nest them
 // expecting the inner configuration to be consulted. It is safe for
 // concurrent use.
 type Batcher struct {
@@ -42,7 +41,9 @@ type batcherConfig struct {
 // A BatcherOption configures NewBatcher.
 type BatcherOption func(*batcherConfig)
 
-// WithWorkers bounds the batch worker pool (default GOMAXPROCS).
+// WithWorkers bounds batch parallelism (default GOMAXPROCS): a batch
+// runs on its caller plus up to n-1 helper goroutines, shared by every
+// batch the Batcher runs at once.
 func WithWorkers(n int) BatcherOption {
 	return func(c *batcherConfig) { c.workers = n }
 }
@@ -63,8 +64,8 @@ func WithStats() BatcherOption {
 }
 
 // NewBatcher builds a Batcher over m. The zero configuration matches
-// Model.ClassifyBatch semantics (GOMAXPROCS workers, no cache, no
-// stats) but keeps the pool warm across calls. Close it when done.
+// Model.ClassifyBatch semantics: GOMAXPROCS workers, no cache, no
+// stats.
 func NewBatcher(m Model, opts ...BatcherOption) *Batcher {
 	var cfg batcherConfig
 	for _, opt := range opts {
@@ -83,7 +84,7 @@ func NewBatcher(m Model, opts ...BatcherOption) *Batcher {
 // scoring fast paths (compiled snapshots additionally expose the
 // normalized cache key); foreign Model implementations are adapted
 // through Classify. Nested Batchers unwrap to the innermost model —
-// routing through the inner engine would stack pools and double-count
+// routing through the inner engine would stack caches and double-count
 // stats; the type's doc comment states this contract.
 func enginePredictor(m Model) serve.Predictor {
 	switch v := m.(type) {
@@ -98,12 +99,8 @@ func enginePredictor(m Model) serve.Predictor {
 	}
 }
 
-// modelPredictor adapts a foreign Model to the serving interfaces.
+// modelPredictor adapts a foreign Model to the serving interface.
 type modelPredictor struct{ m Model }
-
-func (p modelPredictor) Predictions(rawURL string) []Prediction {
-	return p.m.Classify(rawURL).Predictions()
-}
 
 func (p modelPredictor) Scores(rawURL string) [langid.NumLanguages]float64 {
 	return p.m.Classify(rawURL).Scores()
@@ -117,9 +114,9 @@ func (b *Batcher) Classify(rawURL string) Result {
 	return b.engine.Classify(rawURL).Result
 }
 
-// ClassifyBatch classifies urls across the persistent worker pool, one
-// Result per URL in input order. Identical URLs within a batch are
-// scored once; with WithCache, repeats across batches are served from
+// ClassifyBatch classifies urls in parallel, one Result per URL in
+// input order. With WithCache, a URL seen before — in an earlier batch,
+// or earlier in this one once its first copy is scored — is served from
 // the cache.
 func (b *Batcher) ClassifyBatch(urls []string) []Result {
 	return collapseBatch(b.engine.ClassifyBatch(urls))
@@ -143,8 +140,8 @@ func (b *Batcher) Stats() (BatcherStats, bool) {
 
 // WriteMetrics writes the batcher's serving metrics to w in Prometheus
 // text exposition format (version 0.0.4): URL throughput, cache
-// hits/misses, in-batch dedup, live cache occupancy and the scoring
-// latency histogram. Embedders scrape it from their own /metrics
+// hits/misses, live cache occupancy and the scoring latency
+// histogram. Embedders scrape it from their own /metrics
 // handler. Without WithStats the counter families still appear,
 // reading zero; the latency histogram needs WithStats and is omitted.
 func (b *Batcher) WriteMetrics(w io.Writer) error {
@@ -160,8 +157,6 @@ func (b *Batcher) WriteMetrics(w io.Writer) error {
 		"Result-cache hits.", obs.KindCounter, st.CacheHits())
 	intFamily("urllangid_batcher_cache_misses_total",
 		"Result-cache misses.", obs.KindCounter, st.CacheMisses())
-	intFamily("urllangid_batcher_deduped_total",
-		"URLs answered by in-batch duplicate fan-out.", obs.KindCounter, st.Deduped())
 	intFamily("urllangid_batcher_cache_entries",
 		"Live result-cache entries.", obs.KindGauge, int64(b.engine.CacheEntries()))
 	if h := st.Latency(); h != nil {
@@ -172,8 +167,3 @@ func (b *Batcher) WriteMetrics(w io.Writer) error {
 	}
 	return x.Flush()
 }
-
-// Close stops the worker pool and waits for its goroutines to exit. It
-// is idempotent; a closed Batcher still classifies correctly, merely
-// without pool parallelism.
-func (b *Batcher) Close() error { return b.engine.Close() }

@@ -2,10 +2,8 @@ package urllangid_test
 
 import (
 	"io"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"urllangid"
 	"urllangid/internal/datagen"
@@ -61,52 +59,18 @@ func TestBatcherMatchesModel(t *testing.T) {
 		if b.Describe() != m.Describe() {
 			t.Errorf("Describe = %q, want %q", b.Describe(), m.Describe())
 		}
-		if err := b.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestBatcherCloseReleasesWorkers is the goroutine-leak check the
-// explicit Close contract exists for: building and closing batchers
-// must return the process to its original goroutine count.
-func TestBatcherCloseReleasesWorkers(t *testing.T) {
-	_, snap := batcherModels(t)
-	urls := batchURLs(64)
-	before := runtime.NumGoroutine()
-	for round := 0; round < 3; round++ {
-		b := urllangid.NewBatcher(snap,
-			urllangid.WithWorkers(8), urllangid.WithCache(1024), urllangid.WithStats())
-		b.ClassifyBatch(urls)
-		if err := b.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Close(); err != nil {
-			t.Fatal("second Close errored:", err)
-		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	n := runtime.NumGoroutine()
-	for n > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-		n = runtime.NumGoroutine()
-	}
-	if n > before {
-		t.Errorf("goroutines leaked: %d before, %d after Close", before, n)
 	}
 }
 
 func TestBatcherStatsGating(t *testing.T) {
 	_, snap := batcherModels(t)
 	plain := urllangid.NewBatcher(snap)
-	defer plain.Close()
 	plain.ClassifyBatch(batchURLs(10))
 	if _, ok := plain.Stats(); ok {
 		t.Error("Stats reported ok without WithStats")
 	}
 
 	tracked := urllangid.NewBatcher(snap, urllangid.WithCache(128), urllangid.WithStats())
-	defer tracked.Close()
 	urls := batchURLs(10)
 	tracked.ClassifyBatch(urls)
 	tracked.ClassifyBatch(urls) // second round: cache hits
@@ -127,7 +91,6 @@ func TestBatcherStatsGating(t *testing.T) {
 func TestBatcherCacheCollapsesNormalizedVariants(t *testing.T) {
 	_, snap := batcherModels(t)
 	b := urllangid.NewBatcher(snap, urllangid.WithCache(64), urllangid.WithStats())
-	defer b.Close()
 	b.Classify("http://www.wetter-bericht.de/heute")
 	b.Classify("HTTPS://WWW.WETTER-BERICHT.DE/heute")
 	stats, _ := b.Stats()
@@ -162,7 +125,6 @@ func (fixedModel) Save(w io.Writer) error { return nil }
 func TestBatcherWrapsForeignModel(t *testing.T) {
 	var m fixedModel
 	b := urllangid.NewBatcher(m, urllangid.WithWorkers(2))
-	defer b.Close()
 	urls := []string{"http://a.de/x", "http://longer-url.fr/yyy", "http://a.de/x"}
 	got := b.ClassifyBatch(urls)
 	for i, u := range urls {

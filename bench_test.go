@@ -481,25 +481,6 @@ func BenchmarkClassifyBatchCached(b *testing.B) {
 	b.ReportMetric(float64(len(urls)), "URLs/batch")
 }
 
-// BenchmarkClassifyBatchDuplicateHeavy is the workload the in-batch
-// dedup targets: a frontier where each link repeats ~8 times (nav bars,
-// footers). Without dedup and without a cache every repeat pays a full
-// scoring.
-func BenchmarkClassifyBatchDuplicateHeavy(b *testing.B) {
-	_, snap := benchSystemAndSnapshot(b)
-	eng := serve.New(snap, serve.Options{CacheCapacity: 0})
-	urls := make([]string, 1024)
-	for i := range urls {
-		urls[i] = fmt.Sprintf("http://www.beispiel-seite%d.de/nachrichten/artikel%d.html", (i/8)%173, i/8)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = eng.ClassifyBatch(urls)
-	}
-	b.ReportMetric(float64(len(urls)), "URLs/batch")
-}
-
 // --- Public Result API benches ------------------------------------------
 //
 // The redesigned surface's contract: Snapshot.Classify returns a full
@@ -696,7 +677,6 @@ func BenchmarkClassifyResultTLD(b *testing.B) {
 func BenchmarkBatcherClassifyBatch(b *testing.B) {
 	_, snap := benchPublicModels(b)
 	batcher := urllangid.NewBatcher(snap, urllangid.WithCache(4096))
-	defer batcher.Close()
 	urls := servingURLs(1024)
 	batcher.ClassifyBatch(urls) // warm, as a steady-state frontier would
 	b.ReportAllocs()

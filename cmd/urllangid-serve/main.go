@@ -1,7 +1,7 @@
 // Command urllangid-serve is the production serving front end: it loads
 // one or more models (compiled snapshots or saved classifiers, which
 // are compiled on the fly) into a versioned registry and serves
-// classification over HTTP with worker-pool batching, a sharded result
+// classification over HTTP with parallel batching, a sharded result
 // cache, multi-model routing and zero-downtime hot-reload.
 //
 // Endpoints:
@@ -50,9 +50,9 @@
 //
 // Compiled snapshots cache results under the structural URL normal form
 // (urlx package doc): scheme, case and percent-encoding variants of one
-// URL share a single cache entry, and identical URLs inside one batch
-// are scored once. /stats reports nearest-rank latency percentiles and
-// a recent-QPS figure over the last ten *complete* seconds.
+// URL share a single cache entry. /stats reports nearest-rank latency
+// percentiles and a recent-QPS figure over the last ten *complete*
+// seconds.
 //
 // -slow-log DURATION enables per-stage request tracing: requests slower
 // than the threshold are counted in /metrics and logged (sampled to
@@ -197,20 +197,15 @@ func run(args []string, out io.Writer) error {
 		cascades = append(cascades, c)
 		return nil
 	})
-	snapPath := fs.String("snapshot", "", "single model file to serve as \"default\" (kept for pre-registry scripts; prefer -model)")
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 0, "batch worker count per model (0 = GOMAXPROCS)")
 	cacheCap := fs.Int("cache", 1<<20, "result cache capacity in entries per model (0 disables)")
-	cacheShards := fs.Int("cache-shards", 16, "result cache shard count")
 	maxBatch := fs.Int("max-batch", serve.DefaultMaxBatch, "largest /v1/classify batch accepted")
 	drain := fs.Duration("drain", 10*time.Second, "graceful shutdown drain window")
 	slowLog := fs.Duration("slow-log", 0, "trace requests and log those slower than this, with per-stage timings (0 disables)")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof and expvar on this extra address (empty disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *snapPath != "" {
-		models = append([]modelArg{{name: "default", path: *snapPath}}, models...)
 	}
 	if len(models) == 0 {
 		return errors.New("provide at least one -model name=path")
@@ -234,7 +229,6 @@ func run(args []string, out io.Writer) error {
 	reg := registry.New(registry.Options{Engine: serve.Options{
 		Workers:       *workers,
 		CacheCapacity: *cacheCap,
-		CacheShards:   *cacheShards,
 	}})
 	defer reg.Close()
 	for _, m := range models {
@@ -257,8 +251,8 @@ func run(args []string, out io.Writer) error {
 		SlowLog:  *slowLog,
 	})
 
-	fmt.Fprintf(out, "serving %d model(s) on %s (default %s) — cache %d entries, %d shards; SIGHUP reloads changed model files\n",
-		len(models), *addr, models[0].name, *cacheCap, *cacheShards)
+	fmt.Fprintf(out, "serving %d model(s) on %s (default %s) — cache %d entries; SIGHUP reloads changed model files\n",
+		len(models), *addr, models[0].name, *cacheCap)
 
 	// The debug listener is separate from the serving address on
 	// purpose: pprof and expvar expose internals (and CPU profiling can

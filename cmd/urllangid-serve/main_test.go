@@ -384,8 +384,8 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		t.Errorf("junk model error = %v", err)
 	}
 	// Two flags resolving to one serving name must fail loudly, not
-	// silently serve only the second: explicit duplicates, colliding
-	// bare-path basenames, and -snapshot vs an explicit "default".
+	// silently serve only the second: explicit duplicates and colliding
+	// bare-path basenames.
 	snapPath, _ := writeModelFiles(t, 17)
 	dir2 := t.TempDir()
 	other := filepath.Join(dir2, filepath.Base(snapPath))
@@ -397,7 +397,6 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 	for _, args := range [][]string{
 		{"-model", "m=" + snapPath, "-model", "m=" + other},
 		{"-model", snapPath, "-model", other},
-		{"-snapshot", snapPath, "-model", "default=" + other},
 	} {
 		if err := run(args, &out); err == nil || !strings.Contains(err.Error(), "twice") {
 			t.Errorf("run(%v) duplicate-name error = %v", args, err)

@@ -11,7 +11,7 @@
 //     as "urllangid compile" does;
 //  2. load it into a versioned model registry next to a second model
 //     (the training-free ccTLD+ baseline), and serve both over one HTTP
-//     API with worker-pool batching and a sharded result cache;
+//     API with parallel batching and a sharded result cache;
 //  3. drive the batch and streaming endpoints like a crawler would,
 //     routing between the models with ?model=, and read the live model
 //     list off /v1/models;
@@ -77,7 +77,7 @@ func main() {
 
 	// 2. A registry holds both models under serving names; the first
 	// loaded is the default route. Every slot gets its own engine from
-	// the template (worker pool + result cache), and cmd/urllangid-serve
+	// the template (batch workers + result cache), and cmd/urllangid-serve
 	// wires up exactly this stack from its -model flags.
 	reg := registry.New(registry.Options{Engine: serve.Options{CacheCapacity: 1 << 16}})
 	defer reg.Close()
@@ -240,15 +240,14 @@ func main() {
 	}
 	fmt.Println()
 
-	// …or a Batcher when one fixed model is enough — persistent worker
-	// pool, result cache, serving stats; Close releases the pool.
+	// …or a Batcher when one fixed model is enough — parallel batches,
+	// result cache, serving stats.
 	model, err := openModel(nbPath)
 	if err != nil {
 		log.Fatal(err)
 	}
 	batcher := urllangid.NewBatcher(model,
 		urllangid.WithCache(1<<16), urllangid.WithStats())
-	defer batcher.Close()
 	frontier := make([]string, 0, 3*len(kinds))
 	for round := 0; round < 3; round++ {
 		for _, s := range kinds {

@@ -10,8 +10,8 @@ import (
 // types are joinable. A type that exposes Close or Stop promises its
 // background work ends when the owner is torn down; a goroutine it
 // launches that loops forever with no cancellation arm outlives every
-// Close call — the retired-model worker pool that keeps serving a
-// version the registry already dropped.
+// Close call — a worker pool, say, that keeps serving a model version
+// the registry already dropped.
 //
 // A `go` statement is owned when it appears in a method of a
 // Close/Stop-carrying type, or when it launches such a method

@@ -20,7 +20,7 @@ import (
 // excuses an early return in another — the v1 analyzer accepted any
 // function that mentioned Release *somewhere*, which is exactly the
 // shape of the bug that leaks a pinned engine on the error path and
-// keeps a retired model's worker pool alive forever.
+// keeps a retired model's file mapped forever.
 //
 // Per-path rules:
 //

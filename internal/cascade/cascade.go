@@ -37,19 +37,10 @@ import (
 	"urllangid/internal/obs"
 )
 
-// Predictor and Scorer mirror the serving stack's classifier contracts
-// (serve.Predictor / serve.Scorer) without importing it, so serve can
-// wrap a Cascade like any other model.
-
-// Predictor is the minimal classifier contract a tier must meet.
+// Predictor is the scoring contract a tier must meet. It mirrors
+// serve.Predictor without importing serve, so serve can wrap a Cascade
+// like any other model.
 type Predictor interface {
-	Predictions(rawURL string) []langid.Prediction
-}
-
-// Scorer is the allocation-free scoring fast path; tiers that
-// implement it (compiled snapshots do) are scored without expanding
-// predictions.
-type Scorer interface {
 	Scores(rawURL string) [langid.NumLanguages]float64
 }
 
@@ -138,7 +129,7 @@ func (s *Stats) FastLatency() *obs.Histogram { return &s.fastLatency }
 func (s *Stats) SlowLatency() *obs.Histogram { return &s.slowLatency }
 
 // TierSnapshot is the JSON shape of one cascade's routing stats, as
-// embedded in /stats responses and the loadgen report.
+// embedded in /stats responses.
 type TierSnapshot struct {
 	FastServed     int64   `json:"fast_served"`
 	Escalations    int64   `json:"escalations"`
@@ -167,8 +158,8 @@ func (s *Stats) Snapshot() TierSnapshot {
 
 // Cascade routes each URL through the fast tier and escalates
 // low-confidence or confusable answers to the slow tier. It implements
-// the serving stack's Predictor and Scorer contracts, so it installs
-// into a registry slot like any single model. Immutable after New and
+// the serving stack's Predictor contract, so it installs into a
+// registry slot like any single model. Immutable after New and
 // safe for concurrent use.
 type Cascade struct {
 	tiers     TierProvider
@@ -234,7 +225,7 @@ func (c *Cascade) ScoresInto(out *[langid.NumLanguages]float64, rawURL string) {
 		return
 	}
 	t0 := time.Now()
-	tierScores(out, fast, rawURL)
+	*out = fast.Scores(rawURL)
 	c.stats.fastLatency.Observe(int64(time.Since(t0)))
 	if !c.shouldEscalate(fast, out) {
 		c.stats.fast.Inc()
@@ -251,7 +242,7 @@ func (c *Cascade) ScoresInto(out *[langid.NumLanguages]float64, rawURL string) {
 		return
 	}
 	t0 = time.Now()
-	tierScores(out, slow, rawURL)
+	*out = slow.Scores(rawURL)
 	c.stats.slowLatency.Observe(int64(time.Since(t0)))
 	c.stats.escalations.Inc()
 	srel()
@@ -278,19 +269,6 @@ func (c *Cascade) shouldEscalate(fast Predictor, scores *[langid.NumLanguages]fl
 	return margin < c.threshold
 }
 
-// tierScores scores rawURL with one tier, preferring the
-// allocation-free Scorer contract and falling back to collapsing
-// Predictions for tiers that only implement the minimal interface.
-//
-//urllangid:hotpath
-func tierScores(out *[langid.NumLanguages]float64, p Predictor, rawURL string) {
-	if sc, ok := p.(Scorer); ok {
-		*out = sc.Scores(rawURL)
-		return
-	}
-	*out = langid.ScoresFromPredictions(p.Predictions(rawURL))
-}
-
 // Scores classifies rawURL and returns the decisive tier's scores.
 //
 //urllangid:hotpath
@@ -308,11 +286,4 @@ func (c *Cascade) Classify(rawURL string) langid.Result {
 	var out [langid.NumLanguages]float64
 	c.ScoresInto(&out, rawURL)
 	return langid.NewResult(out)
-}
-
-// Predictions expands the cascade's answer into the canonical
-// prediction slice; allocates for the return value like every
-// Predictions implementation.
-func (c *Cascade) Predictions(rawURL string) []langid.Prediction {
-	return langid.PredictionsFromScores(c.Scores(rawURL))
 }

@@ -11,25 +11,12 @@ import (
 )
 
 // scoreTier is a stub tier answering every URL with a fixed score
-// vector through the allocation-free Scorer contract.
+// vector.
 type scoreTier struct {
 	scores [langid.NumLanguages]float64
 }
 
 func (t *scoreTier) Scores(string) [langid.NumLanguages]float64 { return t.scores }
-func (t *scoreTier) Predictions(u string) []langid.Prediction {
-	return langid.PredictionsFromScores(t.scores)
-}
-
-// predTier implements only the minimal Predictor contract, exercising
-// the ScoresFromPredictions fallback.
-type predTier struct {
-	scores [langid.NumLanguages]float64
-}
-
-func (t *predTier) Predictions(string) []langid.Prediction {
-	return langid.PredictionsFromScores(t.scores)
-}
 
 // calibTier is a calibrated fast tier: Confidence maps every margin
 // through a fitted two-point calibration.
@@ -226,23 +213,6 @@ func TestSlowTierErrorKeepsFastAnswer(t *testing.T) {
 	if st.TierErrors() != 1 || st.FastServed() != 1 || st.Escalations() != 0 {
 		t.Fatalf("stats: errors=%d fast=%d escalations=%d, want 1/1/0",
 			st.TierErrors(), st.FastServed(), st.Escalations())
-	}
-	tiers.assertBalanced(t)
-}
-
-func TestPredictorOnlyTiers(t *testing.T) {
-	slowScores := scoresFor(langid.Italian, 4)
-	tiers := &stubTiers{
-		fast: &predTier{scores: scoresFor(langid.German, 0.5)},
-		slow: &predTier{scores: slowScores},
-	}
-	c := New(tiers, Config{Threshold: 2})
-	if got := c.Scores("http://example.com/"); got != slowScores {
-		t.Fatalf("Predictor-only tiers misrouted: %v", got)
-	}
-	preds := c.Predictions("http://example.com/")
-	if len(preds) != langid.NumLanguages || preds[langid.Italian].Score != slowScores[langid.Italian] {
-		t.Fatalf("Predictions drifted from scores: %+v", preds)
 	}
 	tiers.assertBalanced(t)
 }

@@ -103,21 +103,6 @@ type Prediction struct {
 // back into richer shapes, so snapshot, engine and classifier answers
 // cannot drift apart.
 
-// ScoresFromPredictions is the inverse of PredictionsFromScores: it
-// collapses a canonical-order prediction slice back into the score
-// array, tolerating short slices (missing entries keep a zero score).
-//
-//urllangid:hotpath
-func ScoresFromPredictions(preds []Prediction) [NumLanguages]float64 {
-	var out [NumLanguages]float64
-	for i, p := range preds {
-		if i < NumLanguages {
-			out[i] = p.Score
-		}
-	}
-	return out
-}
-
 // PredictionsFromScores expands a score vector into one Prediction per
 // language in canonical order.
 func PredictionsFromScores(scores [NumLanguages]float64) []Prediction {

@@ -5,7 +5,7 @@ package registry
 // every classification pins each tier's current version through the
 // same refcounted Acquire path requests use, so reloading or swapping
 // a tier mid-stream drains exactly like any other swap and the cascade
-// never scores against a closed snapshot. Drain semantics therefore
+// never scores against an unmapped snapshot. Drain semantics therefore
 // pin both tiers: a tier version stays open until the last in-flight
 // cascade classification (and every direct request) releases it.
 
@@ -42,7 +42,7 @@ func (r *Registry) InstallCascade(name, fast, slow string, cfg cascade.Config) (
 		if err != nil {
 			return serve.ModelInfo{}, fmt.Errorf("registry: cascade %q tier: %w", name, err)
 		}
-		_, nested := l.v.pred.(*cascade.Cascade)
+		_, nested := l.v.engine.Predictor().(*cascade.Cascade)
 		l.Release()
 		if nested {
 			return serve.ModelInfo{}, fmt.Errorf("registry: cascade %q tier %q is itself a cascade; cascades do not nest", name, tier)
@@ -82,7 +82,8 @@ func (t tierSource) AcquireSlow() (cascade.Predictor, func(), error) {
 
 // acquire pins a tier slot and hands its raw predictor plus the
 // version's pre-bound release to the cascade, which calls it exactly
-// once per classification.
+// once per classification. Scoring the raw predictor bypasses the
+// tier's own engine: no double caching, no double stats.
 //
 //urllangid:hotpath
 func (t tierSource) acquire(name string) (cascade.Predictor, func(), error) {
@@ -90,5 +91,5 @@ func (t tierSource) acquire(name string) (cascade.Predictor, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return l.v.pred, l.v.releaseFn, nil
+	return l.v.engine.Predictor(), l.v.releaseFn, nil
 }

@@ -1,13 +1,13 @@
 package registry
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"urllangid/internal/cascade"
 	"urllangid/internal/compiled"
@@ -266,7 +266,8 @@ func TestCascadeClassifyZeroAlloc(t *testing.T) {
 // tiers: hammer goroutines classify through an always-escalating
 // cascade while the slow-tier slot is swapped between two models.
 // Every answer must be exactly one epoch's, no classification may
-// fail, and every retired engine must close (goroutine check) — the
+// fail, and every retired slow-tier version's closer must run exactly
+// once, never while a cascade classification scores it — the
 // double-close and torn-epoch failure modes -race would catch.
 func TestCascadeSlowTierSwapStress(t *testing.T) {
 	snapA := compiled.FromSystem(trainSystem(t, 31))
@@ -285,12 +286,24 @@ func TestCascadeSlowTierSwapStress(t *testing.T) {
 		t.Fatal("slow-tier models agree on every probe; swaps would be undetectable")
 	}
 
-	baseline := runtime.NumGoroutine()
+	const hammers = 8
+	var (
+		stop     atomic.Bool
+		requests atomic.Int64
+		failures atomic.Int64
+		firstErr atomic.Value
+	)
+	fail := func(format string, args ...any) {
+		failures.Add(1)
+		firstErr.CompareAndSwap(nil, fmt.Sprintf(format, args...))
+	}
+
 	reg := New(Options{Engine: serve.Options{Workers: 4, CacheCapacity: 256}})
 	if _, err := reg.Install("fast", fastSnap, fastSnap.Describe(), fastSnap.Mode()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Install("slow", snapA, snapA.Describe(), snapA.Mode()); err != nil {
+	var slowCloses atomic.Int64
+	if _, err := installTracked(reg, "slow", snapA, &slowCloses, fail); err != nil {
 		t.Fatal(err)
 	}
 	// +Inf threshold: every classification pins the slow tier, so each
@@ -299,13 +312,6 @@ func TestCascadeSlowTierSwapStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const hammers = 8
-	var (
-		stop     atomic.Bool
-		requests atomic.Int64
-		failures atomic.Int64
-		firstErr atomic.Value
-	)
 	var wg sync.WaitGroup
 	for g := 0; g < hammers; g++ {
 		wg.Add(1)
@@ -315,16 +321,14 @@ func TestCascadeSlowTierSwapStress(t *testing.T) {
 				u := probes[(i+g)%len(probes)]
 				l, err := reg.Acquire("casc")
 				if err != nil {
-					failures.Add(1)
-					firstErr.CompareAndSwap(nil, "Acquire failed mid-swap: "+err.Error())
+					fail("Acquire failed mid-swap: %v", err)
 					return
 				}
 				got := l.Engine().Classify(u).Scores()
 				l.Release()
 				requests.Add(1)
 				if got != expA[u] && got != expB[u] {
-					failures.Add(1)
-					firstErr.CompareAndSwap(nil, "half-swapped cascade result for "+u)
+					fail("half-swapped cascade result for %s", u)
 					return
 				}
 			}
@@ -333,11 +337,17 @@ func TestCascadeSlowTierSwapStress(t *testing.T) {
 
 	const rounds = 60
 	for c := 0; c < rounds; c++ {
+		// Wait for a classification between swaps: an install starts no
+		// goroutines, so the whole loop could otherwise end before any
+		// hammer has run.
+		for seen := requests.Load(); requests.Load() == seen && failures.Load() == 0; {
+			runtime.Gosched()
+		}
 		next := snapB
 		if c%2 == 1 {
 			next = snapA
 		}
-		if _, err := reg.Install("slow", next, next.Describe(), next.Mode()); err != nil {
+		if _, err := installTracked(reg, "slow", next, &slowCloses, fail); err != nil {
 			t.Fatalf("round %d: %v", c, err)
 		}
 	}
@@ -345,7 +355,7 @@ func TestCascadeSlowTierSwapStress(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 	if failures.Load() > 0 {
-		t.Fatalf("%d bad results of %d (first: %v)", failures.Load(), requests.Load(), firstErr.Load())
+		t.Fatalf("%d failures in %d requests (first: %v)", failures.Load(), requests.Load(), firstErr.Load())
 	}
 	if requests.Load() == 0 {
 		t.Fatal("hammer goroutines classified nothing; the stress proved nothing")
@@ -353,19 +363,11 @@ func TestCascadeSlowTierSwapStress(t *testing.T) {
 	if err := reg.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= baseline+2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutines leaked across %d slow-tier swaps: baseline %d, now %d\n%s",
-				rounds, baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-		}
-		runtime.Gosched()
-		time.Sleep(10 * time.Millisecond)
+	if got := slowCloses.Load(); got != rounds+1 {
+		t.Errorf("after Close %d of %d slow-tier versions ran their closer", got, rounds+1)
+	}
+	if failures.Load() > 0 {
+		t.Fatalf("closer misuse: %v", firstErr.Load())
 	}
 }
 

@@ -8,13 +8,14 @@
 // restarting the process and dropping in-flight traffic. The registry
 // turns models into versioned, swappable resources instead. Each slot's
 // current version is an atomic pointer; Swap installs a new version in
-// one pointer write, and the old version's engine is closed only when
-// its last in-flight holder releases it (refcounted epoch release), so
-// a swap never fails a request, cuts a stream, or leaks a worker pool.
+// one pointer write, and the old version's backing file is unmapped
+// only when its last in-flight holder releases it (refcounted epoch
+// release), so a swap never fails a request or cuts a stream. Engines
+// own no goroutines, so nothing else needs tearing down.
 //
 // Lifecycle of one slot version:
 //
-//	LoadFile/Install ─→ current ──(Swap/Reload)──→ draining ──(last Release)──→ Closed
+//	LoadFile/Install ─→ current ──(Swap/Reload)──→ draining ──(last Release)──→ unmapped
 //	                       │
 //	                 Acquire/Release pins it for one request
 //
@@ -23,7 +24,9 @@
 // and then re-checks the pointer: if a swap won the race, the loser
 // releases its stale reference and retries on the new version, so no
 // request ever runs on a version that was already retired before it
-// arrived, and the engine underneath an acquired lease is never closed.
+// arrived, and the model underneath an acquired lease is never
+// unmapped. The loser's reference can take a retired count back
+// through zero; a flag keeps the version's closer to one run.
 //
 // Reload re-opens a slot's backing file, compares content digests (the
 // modelfile metadata digest) and swaps only when the content actually
@@ -49,9 +52,8 @@ import (
 // Options configures a Registry.
 type Options struct {
 	// Engine is the template every slot's serving engine is built from
-	// (workers, cache capacity and shards, stats). Each installed
-	// version gets its own engine — and so its own cache and stats —
-	// from this template.
+	// (workers, cache capacity, stats). Each installed version gets its
+	// own engine — and so its own cache and stats — from this template.
 	Engine serve.Options
 }
 
@@ -80,37 +82,34 @@ type slot struct {
 }
 
 // version is one installed model epoch: the engine serving it, its
-// identity, and the refcount that keeps the engine alive while anyone
-// still holds it. refs starts at 1 for the registry's own reference.
+// identity, and the refcount that keeps its backing storage mapped
+// while anyone still holds it. refs starts at 1 for the registry's own
+// reference.
 type version struct {
 	engine *serve.Engine
-	// pred is the raw predictor the engine wraps. Cascade tiers resolve
-	// through it so tier scoring bypasses the tier's own engine (no
-	// double caching, no double stats) while still pinning the version.
-	pred serve.Predictor
-	info serve.ModelInfo
-	refs atomic.Int64
+	info   serve.ModelInfo
+	refs   atomic.Int64
 	// releaseFn is release pre-bound at install time, so Resolve hands
 	// it out per request without allocating a fresh method value.
 	releaseFn func()
 	// close releases the model's backing storage — the memory mapping
-	// under a flat-loaded snapshot — after the engine has drained. Nil
-	// for programmatic installs and heap-backed files.
-	close func() error
+	// under a flat-loaded snapshot — after the version has drained. Nil
+	// for programmatic installs. closed is set by the release that
+	// retires the version.
+	close  func() error
+	closed atomic.Bool
 }
 
-// release drops one reference; the last one out closes the engine, then
-// the model's backing storage — the mapping under a flat snapshot is
-// unmapped only after no worker can touch it again.
-// Engine.Close is idempotent, which makes the acquire/swap race benign:
-// an acquirer that bumped a just-retired version detects the pointer
-// change, releases, and retries — it never uses the closed engine.
+// release drops one reference; the last one out runs the version's
+// closer, so the mapping under a flat snapshot is unmapped only after
+// no request can touch it again. The count can reach zero more than
+// once: an acquirer that loaded the pointer just before a swap bumps
+// the retired count from zero, detects the pointer change, and
+// releases again — it never uses the model. closed turns that second
+// zero into a no-op, so the closer runs exactly once.
 func (v *version) release() {
-	if v.refs.Add(-1) == 0 {
-		v.engine.Close() //urllangid:ignore hotpathalloc last-reference teardown runs once per retired version at swap time, never on the per-request path
-		if v.close != nil {
-			v.close() //urllangid:ignore hotpathalloc unmaps a retired version's file backing exactly once, after the drain
-		}
+	if v.refs.Add(-1) == 0 && !v.closed.Swap(true) && v.close != nil {
+		v.close() //urllangid:ignore hotpathalloc unmaps a retired version's file backing exactly once, after the drain
 	}
 }
 
@@ -124,7 +123,7 @@ func New(opts Options) *Registry {
 	return &Registry{opts: opts, slots: make(map[string]*slot)}
 }
 
-// Lease is a pinned model version: the engine it exposes stays open —
+// Lease is a pinned model version: the engine it exposes stays usable —
 // across any number of swaps — until Release. The zero Lease is
 // invalid; leases come from Acquire. Acquire and Release are
 // allocation-free, which keeps the registry off the classify hot
@@ -144,13 +143,13 @@ func (l Lease) Engine() *serve.Engine { return l.v.engine }
 func (l Lease) Info() serve.ModelInfo { return l.v.info }
 
 // Release lets go of the version. The last holder of a swapped-out
-// version closes its engine. Release must be called exactly once.
+// version unmaps its backing file. Release must be called exactly once.
 //
 //urllangid:hotpath
 func (l Lease) Release() { l.v.release() }
 
 // Acquire pins the current version of the named slot ("" selects the
-// default). The returned lease keeps the version's engine open until
+// default). The returned lease keeps the version's model mapped until
 // Release, even if the slot is swapped or the registry closed in
 // between.
 //
@@ -294,9 +293,9 @@ func (r *Registry) Install(name string, p serve.Predictor, label, mode string) (
 }
 
 // install builds an engine for p and swaps it in as the slot's next
-// version. The old version starts draining: in-flight leases keep its
-// engine open, and the last Release closes it, then runs closer (when
-// non-nil) to free the model's backing storage.
+// version. The old version starts draining: in-flight leases keep
+// using it, and the last Release runs closer (when non-nil) to free
+// the model's backing storage.
 func (r *Registry) install(name string, p serve.Predictor, info serve.ModelInfo, closer func() error) (serve.ModelInfo, error) {
 	return r.installWith(name, p, info, closer, r.opts.Engine)
 }
@@ -324,13 +323,14 @@ func (r *Registry) installWith(name string, p serve.Predictor, info serve.ModelI
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Close may have drained this slot between the registry check and
-	// here; installing into a closed registry would leak an engine.
+	// here; installing into a closed registry would leak the model's
+	// mapping.
 	if r.closed.Load() {
 		return serve.ModelInfo{}, fmt.Errorf("registry: closed")
 	}
 	info.Version = s.ver.Add(1)
 	info.LoadedAt = time.Now()
-	v := &version{engine: serve.New(p, engOpts), pred: p, info: info, close: closer}
+	v := &version{engine: serve.New(p, engOpts), info: info, close: closer}
 	v.releaseFn = v.release
 	v.refs.Store(1)
 	if old := s.cur.Swap(v); old != nil {
@@ -341,7 +341,7 @@ func (r *Registry) installWith(name string, p serve.Predictor, info serve.ModelI
 
 // Reload re-opens the named slot's backing file. If the file's content
 // digest matches the running version's, nothing happens and changed is
-// false; otherwise the new model is swapped in and the old engine
+// false; otherwise the new model is swapped in and the old version
 // drains. Slots installed programmatically (no path) are not
 // reloadable.
 func (r *Registry) Reload(name string) (serve.ModelInfo, bool, error) {
@@ -390,7 +390,7 @@ func (r *Registry) Reload(name string) (serve.ModelInfo, bool, error) {
 		Version:  s.ver.Add(1),
 		LoadedAt: time.Now(),
 	}
-	v := &version{engine: serve.New(snap, r.opts.Engine), pred: snap, info: info, close: snap.Close}
+	v := &version{engine: serve.New(snap, r.opts.Engine), info: info, close: snap.Close}
 	v.releaseFn = v.release
 	v.refs.Store(1)
 	if old := s.cur.Swap(v); old != nil {
@@ -400,7 +400,7 @@ func (r *Registry) Reload(name string) (serve.ModelInfo, bool, error) {
 }
 
 // Close retires every slot: each current version loses the registry's
-// reference, so its engine closes as soon as in-flight leases drain
+// reference, so its file is unmapped as soon as in-flight leases drain
 // (immediately, when there are none). Acquire fails afterwards; Close
 // is idempotent.
 func (r *Registry) Close() error {

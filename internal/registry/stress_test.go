@@ -5,11 +5,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"urllangid/internal/compiled"
 	"urllangid/internal/langid"
@@ -27,9 +25,10 @@ import (
 //     slot would blend epochs and produce a score vector neither model
 //     emits;
 //   - versions only move forward;
-//   - every retired engine is closed: engines own pool goroutines, so
-//     120 leaked engines would leave hundreds of goroutines behind the
-//     final count check.
+//   - every retired version's closer runs exactly once, and never while
+//     a lease holds that version — the closer is what unmaps a file, so
+//     one that ran early would fault a request, and one that never ran
+//     would leak the mapping.
 func TestRegistrySwapStress(t *testing.T) {
 	snapA := compiled.FromSystem(trainSystem(t, 31))
 	snapB := compiled.FromSystem(trainSystem(t, 41))
@@ -63,19 +62,6 @@ func TestRegistrySwapStress(t *testing.T) {
 	writeSnapshotFile(t, fileB, snapB)
 	copyFile(t, live, fileA)
 
-	baseline := runtime.NumGoroutine()
-	reg := New(Options{Engine: serve.Options{Workers: 4, CacheCapacity: 256}})
-	// Two slots swap concurrently: "live" is file-backed and cycles via
-	// Reload, "prog" is programmatic and cycles via Install. The
-	// hammers route across both plus the default route.
-	if _, err := reg.LoadFile("live", live); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.Install("prog", snapA, snapA.Describe(), snapA.Mode()); err != nil {
-		t.Fatal(err)
-	}
-	routes := []string{"", "live", "prog"}
-
 	const hammers = 8
 	var (
 		stop     atomic.Bool
@@ -87,6 +73,24 @@ func TestRegistrySwapStress(t *testing.T) {
 		failures.Add(1)
 		firstErr.CompareAndSwap(nil, fmt.Sprintf(format, args...))
 	}
+
+	reg := New(Options{Engine: serve.Options{Workers: 4, CacheCapacity: 256}})
+	// Two slots swap concurrently: "live" is file-backed and cycles via
+	// Reload, "prog" is programmatic and cycles via install with a
+	// tracked closer. The hammers route across both plus the default
+	// route.
+	if _, err := reg.LoadFile("live", live); err != nil {
+		t.Fatal(err)
+	}
+	var progVersions, progCloses atomic.Int64
+	installProg := func(snap *compiled.Snapshot) (serve.ModelInfo, error) {
+		progVersions.Add(1)
+		return installTracked(reg, "prog", snap, &progCloses, fail)
+	}
+	if _, err := installProg(snapA); err != nil {
+		t.Fatal(err)
+	}
+	routes := []string{"", "live", "prog"}
 	var wg sync.WaitGroup
 	for g := 0; g < hammers; g++ {
 		wg.Add(1)
@@ -99,8 +103,15 @@ func TestRegistrySwapStress(t *testing.T) {
 					fail("Acquire failed mid-swap: %v", err)
 					return
 				}
+				m, tracked := l.Engine().Predictor().(*trackedModel)
+				if tracked {
+					m.use()
+				}
 				got := l.Engine().Classify(u).Scores()
 				ver := l.Info().Version
+				if tracked {
+					m.users.Add(-1)
+				}
 				l.Release()
 				requests.Add(1)
 				if got != expA[u] && got != expB[u] {
@@ -112,7 +123,7 @@ func TestRegistrySwapStress(t *testing.T) {
 	}
 
 	// 60 rounds of two swaps each: redeploy-the-file + Reload on "live",
-	// Install on "prog" — both install paths drain the old epoch the
+	// install on "prog" — both install paths drain the old epoch the
 	// same way. Every 10th round double-checks that an unchanged file
 	// reload is a no-op.
 	const rounds = 60
@@ -135,7 +146,7 @@ func TestRegistrySwapStress(t *testing.T) {
 		}
 		lastLive = info.Version
 
-		info, err = reg.Install("prog", next, next.Describe(), next.Mode())
+		info, err = installProg(next)
 		if err != nil {
 			t.Fatalf("round %d install: %v", c, err)
 		}
@@ -154,10 +165,14 @@ func TestRegistrySwapStress(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 	if failures.Load() > 0 {
-		t.Fatalf("%d bad results of %d (first: %v)", failures.Load(), requests.Load(), firstErr.Load())
+		t.Fatalf("%d failures in %d requests (first: %v)", failures.Load(), requests.Load(), firstErr.Load())
 	}
 	if requests.Load() == 0 {
 		t.Fatal("hammer goroutines classified nothing; the stress proved nothing")
+	}
+	// With every lease released, each retired version has drained.
+	if got, want := progCloses.Load(), progVersions.Load()-1; got != want {
+		t.Errorf("%d retired versions ran their closer, want %d", got, want)
 	}
 	if err := reg.Close(); err != nil {
 		t.Fatal(err)
@@ -165,23 +180,57 @@ func TestRegistrySwapStress(t *testing.T) {
 	if _, err := reg.Acquire(""); err == nil {
 		t.Error("Acquire succeeded after Close")
 	}
-
-	// Every epoch's engine owns Workers-1 pool goroutines; leaked
-	// engines (a swap that forgot to release, a refcount that never hit
-	// zero) would hold them forever. Give exiting goroutines a moment.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= baseline+2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutines leaked across %d swap rounds: baseline %d, now %d\n%s",
-				rounds, baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-		}
-		runtime.Gosched()
-		time.Sleep(10 * time.Millisecond)
+	if got, want := progCloses.Load(), progVersions.Load(); got != want {
+		t.Errorf("after Close %d of %d versions ran their closer", got, want)
 	}
+	if failures.Load() > 0 {
+		t.Fatalf("closer misuse: %v", firstErr.Load())
+	}
+}
+
+// trackedModel is a model version whose closer checks how it is used:
+// holders count themselves in users while they classify through it, and
+// its closer must run exactly once, with no user left.
+type trackedModel struct {
+	*compiled.Snapshot
+	users  atomic.Int64
+	closed atomic.Bool
+	closes *atomic.Int64
+	fail   func(format string, args ...any)
+}
+
+// installTracked installs snap under name as a new trackedModel
+// version, counting its closer's runs in closes.
+func installTracked(reg *Registry, name string, snap *compiled.Snapshot, closes *atomic.Int64, fail func(string, ...any)) (serve.ModelInfo, error) {
+	m := &trackedModel{Snapshot: snap, closes: closes, fail: fail}
+	return reg.install(name, m, serve.ModelInfo{Name: name, Model: snap.Describe(), Mode: snap.Mode()}, m.close)
+}
+
+// use counts one user in; the caller counts it out with users.Add(-1).
+func (m *trackedModel) use() {
+	m.users.Add(1)
+	if m.closed.Load() {
+		m.fail("a %s version was used after its closer ran", m.Describe())
+	}
+}
+
+// Scores counts the call as a use, for holders that score the model
+// directly, as a cascade scores its tiers.
+func (m *trackedModel) Scores(rawURL string) [langid.NumLanguages]float64 {
+	m.use()
+	defer m.users.Add(-1)
+	return m.Snapshot.Scores(rawURL)
+}
+
+func (m *trackedModel) close() error {
+	if m.closed.Swap(true) {
+		m.fail("the closer of a %s version ran twice", m.Describe())
+	}
+	if n := m.users.Load(); n != 0 {
+		m.fail("the closer of a %s version ran with %d users", m.Describe(), n)
+	}
+	m.closes.Add(1)
+	return nil
 }
 
 // writeSnapshotFile writes snap to path as a v3 file, by rename.

@@ -38,15 +38,17 @@ type cacheEntry struct {
 	ref    atomic.Bool
 }
 
+// cacheShards is the engine cache's shard count: enough to spread
+// write contention across concurrent batches at a small fixed memory
+// cost.
+const cacheShards = 16
+
 // newCache builds a cache with the given total capacity spread over
 // shards (rounded up to a power of two). Returns nil when capacity <= 0,
 // which callers treat as "caching disabled".
 func newCache(shards, capacity int) *lruCache {
 	if capacity <= 0 {
 		return nil
-	}
-	if shards <= 0 {
-		shards = 16
 	}
 	n := 1
 	for n < shards {

@@ -71,8 +71,8 @@ func TestAppendJSONFloat(t *testing.T) {
 
 // TestAppendResultZeroAllocs pins the satellite's whole point: encoding
 // a plain-ASCII result into a pre-grown buffer allocates nothing. This
-// is what lets the serving handlers drop below BENCH_2's ~20.5
-// allocations per URL.
+// is what let the serving handlers drop below the ~20.5 allocations
+// per URL they made before this encoder.
 func TestAppendResultZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -93,17 +93,16 @@ func TestAppendResultZeroAllocs(t *testing.T) {
 
 // TestClassifyHandlerAllocBudget bounds the whole in-process request
 // path — JSON decode, batch classify, pooled response encode — at well
-// under BENCH_2's ~20.5 allocations per URL. The bound is generous
-// (handler fixed costs amortise over the batch; the classify itself is
-// allocation-free) so it only trips on a real regression, like the
-// per-result map encoding this replaced.
+// under the ~20.5 allocations per URL it made before this encoder. The
+// bound is generous (handler fixed costs amortise over the batch; the
+// classify itself is allocation-free) so it only trips on a real
+// regression, like the per-result map encoding this replaced.
 func TestClassifyHandlerAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
 	snap, _ := snapshot(t)
 	e := New(snap, Options{Workers: 1})
-	defer e.Close()
 	h := NewHandler(Static(e, ModelInfo{Model: snap.Describe(), Mode: snap.Mode()}), HandlerOptions{})
 
 	urls := make([]string, 64)

@@ -1,15 +1,16 @@
-// Package serve is the high-throughput serving layer: a worker-pool
-// batch engine with a sharded result cache over any classifier, plus the
-// HTTP front end cmd/urllangid-serve exposes.
+// Package serve is the high-throughput serving layer: a batch engine
+// with a sharded result cache over any scorer, plus the HTTP front end
+// cmd/urllangid-serve exposes.
 //
 // The paper's motivating application (§1) is a crawler that classifies
 // millions of *uncrawled* URLs to avoid downloading wrong-language
 // pages; at that scale classification throughput, not accuracy, is the
 // binding constraint, and frontier URLs repeat hosts so heavily that a
 // modest cache absorbs most of the scoring work. The engine is built for
-// exactly that workload: lock-light cached reads, in-batch
-// deduplication of repeated links, batch fan-out across a persistent
-// worker pool, and compiled-snapshot scoring underneath.
+// exactly that workload: lock-light cached reads, batches spread over
+// per-batch helper goroutines, and compiled-snapshot scoring
+// underneath. An engine owns no goroutines between calls, so it needs
+// no Close.
 package serve
 
 import (
@@ -22,52 +23,37 @@ import (
 	"urllangid/internal/obs"
 )
 
-// Predictor is the minimal classifier contract the engine needs;
-// *core.System, *compiled.Snapshot and the public urllangid types all
-// satisfy it.
+// Predictor is the scoring contract the engine serves. Compiled
+// snapshots, cascades, *core.System and the public urllangid adapters
+// all implement it.
 type Predictor interface {
-	Predictions(rawURL string) []langid.Prediction
-}
-
-// Scorer is the allocation-free fast path. When the predictor implements
-// it (core systems and compiled snapshots do), the engine skips building
-// []Prediction for every URL and moves plain score arrays around
-// instead.
-type Scorer interface {
 	Scores(rawURL string) [langid.NumLanguages]float64
 }
 
-// CacheKeyer lets a predictor declare which URLs it considers
-// equivalent. Compiled snapshots return the normalized URL so scheme and
-// percent-encoding variants share one cache entry; predictors that do
-// not implement it are cached under the raw URL, which is always sound
+// KeyScorer is the optional contract of a predictor that declares which
+// URLs it considers equivalent. Compiled snapshots return the
+// normalized URL as the key, so scheme and percent-encoding variants
+// share one cache entry, and score from the key without re-deriving its
+// normal form. Implementations must guarantee
+// ScoresForKey(CacheKey(u)) == Scores(u) for every URL. Predictors
+// without it are cached under the raw URL, which is always sound
 // (custom features score the raw string's length, so normalizing for
 // them would change answers).
-type CacheKeyer interface {
-	CacheKey(rawURL string) string
-}
-
-// KeyScorer scores a URL already reduced to its CacheKey form, letting
-// the miss path skip re-deriving the key's normal form. Implementations
-// must guarantee ScoresForKey(CacheKey(u)) == Scores(u) for every URL.
 type KeyScorer interface {
-	CacheKeyer
+	CacheKey(rawURL string) string
 	ScoresForKey(key string) [langid.NumLanguages]float64
 }
 
 // Options configures an Engine. The zero value serves with GOMAXPROCS
 // workers and caching disabled.
 type Options struct {
-	// Workers bounds batch parallelism (default GOMAXPROCS). The pool is
-	// persistent: workers start with the engine and run until Close.
+	// Workers bounds batch parallelism (default GOMAXPROCS). A batch
+	// runs on its caller plus up to Workers-1 helper goroutines, and all
+	// of the engine's batches together run at most Workers-1 helpers.
 	Workers int
 	// CacheCapacity is the total cached-result budget across shards;
 	// 0 disables caching.
 	CacheCapacity int
-	// CacheShards is the shard count, rounded up to a power of two
-	// (default 16). More shards spread write contention at a small fixed
-	// memory cost.
-	CacheShards int
 	// NoStats disables metrics collection entirely — no clock reads on
 	// the classify path. StatsSnapshot then reports zeroes.
 	NoStats bool
@@ -83,40 +69,26 @@ type Result struct {
 }
 
 // Engine classifies URLs through a predictor with batching and caching.
-// It is safe for concurrent use. New starts the worker pool; Close
-// releases it — an engine left un-Closed keeps its idle workers alive.
+// It is safe for concurrent use, and it owns no goroutines: every
+// helper a batch starts has exited by the time ClassifyBatch returns.
 type Engine struct {
 	pred      Predictor
-	scorer    Scorer     // nil when pred lacks the fast path
-	keyer     CacheKeyer // nil when pred lacks a custom key
-	keyScorer KeyScorer  // nil when pred cannot score from a key
+	keyScorer KeyScorer // nil when pred does not key its cache entries
 	cache     *lruCache
 	stats     *Stats
 	workers   int
-
-	// The persistent pool: ClassifyBatch offers assist closures on tasks;
-	// workers run them until quit closes. Offers never block — a
-	// saturated (or closed) pool only costs parallelism, never progress,
-	// because the calling goroutine always works the batch too. mu
-	// serialises offers against Close (read-locked once per batch, not
-	// per URL) so no closure can slip into tasks after Close has drained
-	// it — a stranded closure would pin its batch's memory for the
-	// engine's remaining lifetime.
-	tasks     chan func()
-	quit      chan struct{}
-	mu        sync.RWMutex
-	closed    bool
-	wg        sync.WaitGroup
-	closeOnce sync.Once
+	// helpers is a semaphore holding one token per running batch helper.
+	// Its capacity, workers-1, is the helper budget all batches share.
+	// A batch takes tokens without blocking: once none is free, its
+	// caller goes on with the helpers it has.
+	helpers chan struct{}
 }
 
-// New builds an engine over p and starts its worker pool. Callers that
-// create engines dynamically must Close them; a handful of
-// process-lifetime engines may skip it.
+// New builds an engine over p.
 func New(p Predictor, opts Options) *Engine {
 	e := &Engine{
 		pred:    p,
-		cache:   newCache(opts.CacheShards, opts.CacheCapacity),
+		cache:   newCache(cacheShards, opts.CacheCapacity),
 		workers: opts.Workers,
 	}
 	if !opts.NoStats {
@@ -125,62 +97,9 @@ func New(p Predictor, opts Options) *Engine {
 	if e.workers <= 0 {
 		e.workers = runtime.GOMAXPROCS(0)
 	}
-	e.scorer, _ = p.(Scorer)
-	e.keyer, _ = p.(CacheKeyer)
 	e.keyScorer, _ = p.(KeyScorer)
-	if e.workers > 1 {
-		// The calling goroutine always participates in its batch, so
-		// workers-1 pool goroutines deliver the full `workers`-way
-		// parallelism; a pool of `workers` would leave one always idle.
-		e.tasks = make(chan func(), e.workers-1)
-		e.quit = make(chan struct{})
-		for i := 0; i < e.workers-1; i++ {
-			e.wg.Add(1)
-			go func() {
-				defer e.wg.Done()
-				for {
-					select {
-					case <-e.quit:
-						return
-					case fn := <-e.tasks:
-						fn()
-					}
-				}
-			}()
-		}
-	}
+	e.helpers = make(chan struct{}, e.workers-1)
 	return e
-}
-
-// Close stops the worker pool and waits for its goroutines to exit. It
-// is idempotent. Batches in flight complete normally (their calling
-// goroutine finishes the work), and later ClassifyBatch calls still
-// return correct results, merely without pool parallelism.
-func (e *Engine) Close() error {
-	e.closeOnce.Do(func() {
-		if e.quit == nil {
-			return
-		}
-		// Taking the write lock waits out any in-flight recruit loops;
-		// once closed is set no new offer can start, so the drain below
-		// is final.
-		e.mu.Lock()
-		e.closed = true
-		e.mu.Unlock()
-		close(e.quit)
-		e.wg.Wait()
-		// Drop any assist closures still buffered so the batches they
-		// capture can be collected; their callers complete the work
-		// themselves (the pool only ever assists).
-		for {
-			select {
-			case <-e.tasks:
-			default:
-				return
-			}
-		}
-	})
-	return nil
 }
 
 // Stats returns the engine's live metrics collector (shared with the
@@ -190,7 +109,10 @@ func (e *Engine) Stats() *Stats { return e.stats }
 
 // Predictor returns the raw predictor the engine wraps. The serving
 // layers type-assert it for optional contracts the engine itself does
-// not surface — a cascade's tier stats, for instance.
+// not surface — a cascade's tier stats, for instance — and a cascade
+// scores its tiers through it, bypassing their engines.
+//
+//urllangid:hotpath
 func (e *Engine) Predictor() Predictor { return e.pred }
 
 // StatsSnapshot returns current metrics, including cache occupancy.
@@ -211,17 +133,6 @@ func (e *Engine) CacheEntries() int {
 	return e.cache.len()
 }
 
-// QueueDepth returns the number of batch-assist closures waiting in the
-// worker pool's task buffer right now. A persistently full buffer
-// (depth ≈ workers-1) means batches arrive faster than the pool can
-// assist — the engine is the bottleneck, not the HTTP tier.
-func (e *Engine) QueueDepth() int {
-	if e.tasks == nil {
-		return 0
-	}
-	return len(e.tasks)
-}
-
 // Classify classifies one URL, consulting and populating the cache.
 // It never fails: malformed URLs tokenize to nothing and score like any
 // other token-free input.
@@ -231,16 +142,9 @@ func (e *Engine) Classify(rawURL string) Result {
 	return e.classify(rawURL, nil)
 }
 
-// ClassifyTrace is Classify with per-stage span collection: normalize,
-// cache-lookup and score wall time accumulate into tr. A nil tr
-// disables collection and skips every extra clock read, so the untraced
-// hot path is unchanged.
-//
-//urllangid:hotpath
-func (e *Engine) ClassifyTrace(rawURL string, tr *obs.Trace) Result {
-	return e.classify(rawURL, tr)
-}
-
+// classify is Classify with per-stage span collection: normalize,
+// cache-lookup and score wall time accumulate into tr. A nil tr skips
+// every extra clock read.
 func (e *Engine) classify(rawURL string, tr *obs.Trace) Result {
 	var start time.Time
 	if e.stats != nil {
@@ -252,7 +156,7 @@ func (e *Engine) classify(rawURL string, tr *obs.Trace) Result {
 		if tr != nil {
 			t0 = time.Now()
 		}
-		r.Result = langid.NewResult(e.score(rawURL))
+		r.Result = langid.NewResult(e.pred.Scores(rawURL))
 		if tr != nil {
 			tr.Add(obs.StageScore, time.Since(t0))
 		}
@@ -262,11 +166,11 @@ func (e *Engine) classify(rawURL string, tr *obs.Trace) Result {
 		return r
 	}
 	key := rawURL
-	if e.keyer != nil {
+	if e.keyScorer != nil {
 		if tr != nil {
 			t0 = time.Now()
 		}
-		key = e.keyer.CacheKey(rawURL)
+		key = e.keyScorer.CacheKey(rawURL)
 		if tr != nil {
 			tr.Add(obs.StageNormalize, time.Since(t0))
 		}
@@ -293,7 +197,7 @@ func (e *Engine) classify(rawURL string, tr *obs.Trace) Result {
 		// from it directly rather than re-normalizing the raw URL.
 		scores = e.keyScorer.ScoresForKey(key)
 	} else {
-		scores = e.score(rawURL)
+		scores = e.pred.Scores(rawURL)
 	}
 	if tr != nil {
 		tr.Add(obs.StageScore, time.Since(t0))
@@ -306,21 +210,14 @@ func (e *Engine) classify(rawURL string, tr *obs.Trace) Result {
 	return r
 }
 
-func (e *Engine) score(rawURL string) [langid.NumLanguages]float64 {
-	if e.scorer != nil {
-		return e.scorer.Scores(rawURL)
-	}
-	return langid.ScoresFromPredictions(e.pred.Predictions(rawURL))
-}
-
-// ClassifyBatch classifies urls across the worker pool, preserving input
-// order in the result slice. Identical URLs within the batch are scored
-// once and the result fanned out — crawl frontiers repeat links heavily,
-// and before the cache warms each duplicate would otherwise pay a full
-// scoring. The caller's goroutine and any pool workers it recruits pull
-// work from a shared atomic counter, so a slow URL (cold cache, long
-// path) never stalls a whole pre-assigned chunk, and a busy pool only
-// reduces parallelism — the batch always completes.
+// ClassifyBatch classifies urls, preserving input order in the result
+// slice; each result equals what Classify returns for its URL. The
+// caller and up to min(Workers, len(urls))-1 helper goroutines pull
+// URLs from a shared atomic counter, so a slow URL (cold cache, long
+// path) never stalls a pre-assigned chunk. Helpers start only while the
+// engine's helper budget has room, so concurrent batches share
+// Workers-1 helpers and a busy engine only costs parallelism: the
+// caller always works its own batch to completion.
 func (e *Engine) ClassifyBatch(urls []string) []Result {
 	return e.ClassifyBatchTrace(urls, nil)
 }
@@ -331,84 +228,38 @@ func (e *Engine) ClassifyBatch(urls []string) []Result {
 // where its wall time actually went. A nil tr adds no clock reads.
 func (e *Engine) ClassifyBatchTrace(urls []string, tr *obs.Trace) []Result {
 	out := make([]Result, len(urls))
-	n := len(urls)
-	if n == 0 {
+	if min(e.workers, len(urls)) <= 1 {
+		for i, u := range urls {
+			out[i] = e.classify(u, tr)
+		}
 		return out
 	}
-
-	// Dedup pass: work holds the index of each first occurrence; first
-	// maps a URL to that index so copies can find their primary.
-	var first map[string]int32
-	work := make([]int32, 0, n)
-	if n > 1 {
-		first = make(map[string]int32, n)
-		for i, u := range urls {
-			if _, dup := first[u]; dup {
-				continue
+	var next atomic.Int64
+	run := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(urls) {
+				return
 			}
-			first[u] = int32(i)
-			work = append(work, int32(i))
-		}
-	} else {
-		work = append(work, 0)
-	}
-
-	workers := e.workers
-	if workers > len(work) {
-		workers = len(work)
-	}
-	if workers <= 1 || e.tasks == nil {
-		for _, i := range work {
 			out[i] = e.classify(urls[i], tr)
 		}
-	} else {
-		var pending sync.WaitGroup
-		pending.Add(len(work))
-		var next atomic.Int64
-		run := func() {
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(work) {
-					return
-				}
-				i := work[k]
-				out[i] = e.classify(urls[i], tr)
-				pending.Done()
-			}
-		}
-		// Recruit up to workers-1 assists; the non-blocking offer means
-		// a saturated pool degrades to caller-only execution. The read
-		// lock excludes Close's drain, so a closed engine never ends up
-		// with a stranded closure in tasks.
-		e.mu.RLock()
-		if !e.closed {
-		recruit:
-			for w := 1; w < workers; w++ {
-				select {
-				case e.tasks <- run:
-				default:
-					break recruit // buffer full: further offers fail too
-				}
-			}
-		}
-		e.mu.RUnlock()
-		run()
-		pending.Wait()
 	}
-
-	if len(work) < n {
-		cached := e.cache != nil
-		for i, u := range urls {
-			if j := first[u]; int(j) != i {
-				r := out[j]
-				r.URL = u
-				// With a cache, the primary's entry would have served
-				// this copy; report it the way a Classify call would.
-				r.Cached = r.Cached || cached
-				out[i] = r
-				e.stats.RecordDeduped(cached)
-			}
+	var done sync.WaitGroup
+spawn:
+	for h := 1; h < min(e.workers, len(urls)); h++ {
+		select {
+		case e.helpers <- struct{}{}:
+		default:
+			break spawn // the budget is spent: the caller goes on alone
 		}
+		done.Add(1)
+		go func() {
+			run()
+			<-e.helpers
+			done.Done()
+		}()
 	}
+	run()
+	done.Wait()
 	return out
 }

@@ -3,8 +3,8 @@ package serve
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -176,7 +176,7 @@ func TestCacheSecondChance(t *testing.T) {
 
 func TestEngineConcurrentMixedLoad(t *testing.T) {
 	snap, _ := snapshot(t)
-	e := New(snap, Options{Workers: 4, CacheCapacity: 256, CacheShards: 4})
+	e := New(snap, Options{Workers: 4, CacheCapacity: 256})
 	urls := testURLs(200)
 	want := e.ClassifyBatch(urls)
 	var wg sync.WaitGroup
@@ -222,77 +222,30 @@ func TestResultHelpers(t *testing.T) {
 	}
 }
 
-// countingPredictor is a stub whose score depends on the URL and which
-// counts every Predictions call plus the exact argument it received.
+// countingPredictor is a stub whose score depends on the URL. It
+// counts its Scores calls, and the calls running at once and their
+// peak.
 type countingPredictor struct {
-	mu    sync.Mutex
-	calls []string
-	key   func(string) string // nil: no CacheKeyer
+	calls, running, peak atomic.Int64
 }
 
-func (p *countingPredictor) Predictions(rawURL string) []langid.Prediction {
-	p.mu.Lock()
-	p.calls = append(p.calls, rawURL)
-	p.mu.Unlock()
-	var preds []langid.Prediction
-	for li := 0; li < langid.NumLanguages; li++ {
-		preds = append(preds, langid.Prediction{
-			Lang: langid.Language(li), Score: float64(len(rawURL) + li),
-		})
+func (p *countingPredictor) Scores(rawURL string) [langid.NumLanguages]float64 {
+	p.calls.Add(1)
+	n := p.running.Add(1)
+	for old := p.peak.Load(); n > old && !p.peak.CompareAndSwap(old, n); old = p.peak.Load() {
 	}
-	return preds
+	runtime.Gosched() // let calls that could overlap this one do so
+	var s [langid.NumLanguages]float64
+	for li := range s {
+		s[li] = float64(len(rawURL) + li)
+	}
+	p.running.Add(-1)
+	return s
 }
 
-// keyedPredictor adds CacheKey (but NOT ScoresForKey/Scores) on top.
-type keyedPredictor struct{ countingPredictor }
-
-func (p *keyedPredictor) CacheKey(rawURL string) string { return p.key(rawURL) }
-
-// TestEngineCacheKeyerWithoutKeyScorer pins the fallback ordering: with
-// a predictor that implements CacheKeyer but not KeyScorer, the engine
-// must key the cache by CacheKey yet score the *raw* URL through
-// Predictions — scoring the key instead would change answers for any
-// predictor whose features see the raw string.
-func TestEngineCacheKeyerWithoutKeyScorer(t *testing.T) {
-	p := &keyedPredictor{}
-	p.key = strings.ToLower
-	e := New(p, Options{CacheCapacity: 16})
-	if e.keyer == nil || e.keyScorer != nil || e.scorer != nil {
-		t.Fatalf("interface detection: keyer=%v keyScorer=%v scorer=%v",
-			e.keyer != nil, e.keyScorer != nil, e.scorer != nil)
-	}
-
-	raw := "HTTP://Example.DE/Seite"
-	first := e.Classify(raw)
-	if first.Cached {
-		t.Fatal("first classification reported cached")
-	}
-	p.mu.Lock()
-	if len(p.calls) != 1 || p.calls[0] != raw {
-		t.Fatalf("miss path scored %v, want exactly the raw URL %q", p.calls, raw)
-	}
-	p.mu.Unlock()
-
-	// A key-equivalent variant must hit the shared entry — and must NOT
-	// trigger a second scoring, even though its raw form differs.
-	variant := "http://example.de/seite"
-	second := e.Classify(variant)
-	if !second.Cached {
-		t.Error("key-equivalent variant missed the cache")
-	}
-	if second.Scores() != first.Scores() {
-		t.Error("variant served different scores than the shared entry")
-	}
-	p.mu.Lock()
-	if len(p.calls) != 1 {
-		t.Errorf("variant re-scored: calls = %v", p.calls)
-	}
-	p.mu.Unlock()
-}
-
-// TestEngineKeyScorerMissPath pins the complementary ordering: a full
-// KeyScorer predictor must have its miss path driven through
-// ScoresForKey with the key, not through Predictions with the raw URL.
+// TestEngineKeyScorerMissPath pins the miss path of a KeyScorer
+// predictor: it is driven through ScoresForKey with the key, not
+// through Scores with the raw URL.
 func TestEngineKeyScorerMissPath(t *testing.T) {
 	snap, _ := snapshot(t)
 	e := New(snap, Options{CacheCapacity: 16})
@@ -307,59 +260,57 @@ func TestEngineKeyScorerMissPath(t *testing.T) {
 	}
 }
 
+// TestClassifyBatchDeduplicates pins how a batch treats a repeated URL:
+// every copy gets its own result, in input order and with its URL's
+// scores, and counts as traffic. Only the cache collapses repeats: a
+// copy classified after its first copy is a cache hit, scored no
+// second time, and a cache-less engine scores and reports every copy
+// as fresh.
 func TestClassifyBatchDeduplicates(t *testing.T) {
-	p := &countingPredictor{}
-	e := New(p, Options{Workers: 4, CacheCapacity: 0})
 	urls := []string{
 		"http://a.de/1", "http://b.fr/2", "http://a.de/1", "http://c.es/3",
 		"http://a.de/1", "http://b.fr/2",
 	}
-	out := e.ClassifyBatch(urls)
-	if len(out) != len(urls) {
-		t.Fatalf("got %d results for %d urls", len(out), len(urls))
-	}
-	p.mu.Lock()
-	scorings := len(p.calls)
-	p.mu.Unlock()
-	if scorings != 3 {
-		t.Errorf("scored %d times for 3 unique URLs", scorings)
-	}
-	for i, r := range out {
-		if r.URL != urls[i] {
-			t.Errorf("result %d is for %q, want %q", i, r.URL, urls[i])
+	for _, tc := range []struct {
+		name         string
+		opts         Options
+		scorings     int64
+		hits, misses int64
+	}{
+		{"no cache", Options{Workers: 4}, 6, 0, 0},
+		// One worker classifies the batch in input order, so every
+		// repeat follows its first copy.
+		{"cache", Options{Workers: 1, CacheCapacity: 64}, 3, 3, 3},
+	} {
+		p := &countingPredictor{}
+		e := New(p, tc.opts)
+		out := e.ClassifyBatch(urls)
+		if len(out) != len(urls) {
+			t.Fatalf("%s: got %d results for %d urls", tc.name, len(out), len(urls))
 		}
-		if r.Scores() != e.score(urls[i]) {
-			t.Errorf("result %d has wrong scores", i)
+		if n := p.calls.Load(); n != tc.scorings {
+			t.Errorf("%s: scored %d times, want %d", tc.name, n, tc.scorings)
 		}
-		// No cache on this engine: copies must not claim to be cached.
-		if r.Cached {
-			t.Errorf("cache-less result %d reported cached", i)
+		seen := map[string]bool{}
+		for i, r := range out {
+			if r.URL != urls[i] {
+				t.Errorf("%s: result %d is for %q, want %q", tc.name, i, r.URL, urls[i])
+			}
+			if r.Scores() != p.Scores(urls[i]) {
+				t.Errorf("%s: result %d has wrong scores", tc.name, i)
+			}
+			if want := tc.opts.CacheCapacity > 0 && seen[urls[i]]; r.Cached != want {
+				t.Errorf("%s: result %d cached = %v, want %v", tc.name, i, r.Cached, want)
+			}
+			seen[urls[i]] = true
 		}
-	}
-	if stats := e.StatsSnapshot(); stats.URLs != int64(len(urls)) {
-		t.Errorf("URLs = %d, want %d (duplicates still count as traffic)", stats.URLs, len(urls))
-	}
-}
-
-func TestClassifyBatchDedupWithCache(t *testing.T) {
-	snap, _ := snapshot(t)
-	e := New(snap, Options{Workers: 4, CacheCapacity: 64})
-	u := "http://www.doppelt-seite.de/artikel"
-	out := e.ClassifyBatch([]string{u, u, u})
-	if out[0].Scores() != out[1].Scores() || out[1].Scores() != out[2].Scores() {
-		t.Fatal("duplicate results diverged")
-	}
-	// The copies would have been cache hits had they classified after
-	// the primary; they must report Cached and count as hits.
-	if !out[1].Cached || !out[2].Cached {
-		t.Errorf("deduped copies not reported cached: %v %v", out[1].Cached, out[2].Cached)
-	}
-	stats := e.StatsSnapshot()
-	if stats.URLs != 3 {
-		t.Errorf("URLs = %d, want 3", stats.URLs)
-	}
-	if stats.CacheHits != 2 || stats.CacheMisses != 1 {
-		t.Errorf("hits/misses = %d/%d, want 2/1", stats.CacheHits, stats.CacheMisses)
+		stats := e.StatsSnapshot()
+		if stats.URLs != int64(len(urls)) {
+			t.Errorf("%s: URLs = %d, want %d (duplicates still count as traffic)", tc.name, stats.URLs, len(urls))
+		}
+		if stats.CacheHits != tc.hits || stats.CacheMisses != tc.misses {
+			t.Errorf("%s: hits/misses = %d/%d, want %d/%d", tc.name, stats.CacheHits, stats.CacheMisses, tc.hits, tc.misses)
+		}
 	}
 }
 
@@ -377,8 +328,8 @@ func TestClassifyBatchEmptyAndSingle(t *testing.T) {
 
 func TestEngineFallbackPredictorWithoutScorer(t *testing.T) {
 	_, sys := snapshot(t)
-	// *core.System implements Scores but not CacheKey: the engine takes
-	// the score fast path but must key the cache by raw URL.
+	// *core.System implements Scores but not KeyScorer: the engine
+	// must key the cache by raw URL.
 	e := New(sys, Options{CacheCapacity: 16})
 	u := "http://www.wetter.de/bericht"
 	first := e.Classify(u)
@@ -432,68 +383,38 @@ func waitForGoroutines(want int) int {
 	return n
 }
 
-// TestEngineCloseReleasesWorkers pins the pool lifecycle: New starts the
-// workers, Close reaps every one of them, and Close is idempotent.
-func TestEngineCloseReleasesWorkers(t *testing.T) {
-	snap, _ := snapshot(t)
-	before := settledGoroutines()
-	e := New(snap, Options{Workers: 8, CacheCapacity: 64})
-	e.ClassifyBatch(testURLs(100))
-	// Workers: 8 means caller + 7 pool goroutines.
-	if n := countGoroutines(); n < before+7 {
-		t.Fatalf("pool not running: %d goroutines, had %d before New", n, before)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal("second Close errored:", err)
-	}
-	if n := waitForGoroutines(before); n > before {
-		t.Errorf("after Close: %d goroutines, want <= %d", n, before)
-	}
-}
-
-// TestClassifyBatchAfterClose: a closed engine must still answer batches
-// correctly (caller-only execution), never hang or panic.
-func TestClassifyBatchAfterClose(t *testing.T) {
-	snap, _ := snapshot(t)
-	e := New(snap, Options{Workers: 4, CacheCapacity: 64})
-	urls := testURLs(50)
-	want := e.ClassifyBatch(urls)
-	e.Close()
-	got := e.ClassifyBatch(urls)
-	for i := range want {
-		if got[i].Scores() != want[i].Scores() {
-			t.Fatalf("post-Close batch diverged at %d", i)
-		}
-	}
-}
-
-// TestEngineConcurrentBatchesShareOnePool floods the pool from many
-// goroutines at once: every batch must complete with correct, ordered
-// results even when most assist offers are rejected.
+// TestEngineConcurrentBatchesSharePool pins the helper budget all
+// batches share: 16 concurrent batches on a Workers: 3 engine score on
+// at most their 16 callers plus 2 helpers at once, each batch answers
+// in input order exactly as Classify does, and once every batch has
+// returned no helper token is held.
 func TestEngineConcurrentBatchesSharePool(t *testing.T) {
-	snap, _ := snapshot(t)
-	e := New(snap, Options{Workers: 2, CacheCapacity: 0})
-	defer e.Close()
-	urls := testURLs(64)
-	want := e.ClassifyBatch(urls)
+	p := &countingPredictor{}
+	e := New(p, Options{Workers: 3, NoStats: true})
+	urls := testURLs(256)
+	var got [16][]Result
 	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
+	for g := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got := e.ClassifyBatch(urls)
-			for i := range want {
-				if got[i].URL != urls[i] || got[i].Scores() != want[i].Scores() {
-					t.Errorf("concurrent pooled batch diverged at %d", i)
-					return
-				}
-			}
+			got[g] = e.ClassifyBatch(urls)
 		}()
 	}
 	wg.Wait()
+	if n := len(e.helpers); n != 0 {
+		t.Errorf("%d helper tokens held after every batch returned", n)
+	}
+	if peak := p.peak.Load(); peak > 16+2 {
+		t.Errorf("%d concurrent Scores calls, want at most 16 callers + 2 helpers", peak)
+	}
+	for _, res := range got {
+		for i, r := range res {
+			if r.URL != urls[i] || r.Result != e.Classify(urls[i]).Result {
+				t.Fatalf("result %d = %+v, want Classify(%q)", i, r, urls[i])
+			}
+		}
+	}
 }
 
 // TestEngineNoStats: with stats disabled the engine must classify
@@ -501,7 +422,6 @@ func TestEngineConcurrentBatchesSharePool(t *testing.T) {
 func TestEngineNoStats(t *testing.T) {
 	snap, sys := snapshot(t)
 	e := New(snap, Options{CacheCapacity: 16, NoStats: true})
-	defer e.Close()
 	if e.Stats() != nil {
 		t.Fatal("NoStats engine still carries a collector")
 	}
@@ -515,34 +435,4 @@ func TestEngineNoStats(t *testing.T) {
 	}
 	// The HTTP layer records requests through Stats(); nil must be safe.
 	e.Stats().RecordRequest()
-}
-
-// TestCloseRacingBatches stresses Close against in-flight batches: every
-// batch must complete with correct results, and no assist closure may
-// remain buffered after Close (it would pin the batch's memory).
-func TestCloseRacingBatches(t *testing.T) {
-	snap, _ := snapshot(t)
-	urls := testURLs(64)
-	for round := 0; round < 20; round++ {
-		e := New(snap, Options{Workers: 4, NoStats: true})
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				got := e.ClassifyBatch(urls)
-				for i := range got {
-					if got[i].URL != urls[i] {
-						t.Errorf("round %d: result %d misordered", round, i)
-						return
-					}
-				}
-			}()
-		}
-		e.Close() // races the batches above
-		wg.Wait()
-		if n := len(e.tasks); n != 0 {
-			t.Fatalf("round %d: %d closures stranded in the pool after Close", round, n)
-		}
-	}
 }

@@ -73,7 +73,6 @@ func newSnapshotHandler(tb testing.TB, opts Options) http.Handler {
 	tb.Helper()
 	snap, _ := snapshot(tb)
 	e := New(snap, opts)
-	tb.Cleanup(func() { e.Close() })
 	return NewHandler(Static(e, ModelInfo{Model: snap.Describe(), Mode: snap.Mode()}), HandlerOptions{})
 }
 

@@ -276,17 +276,10 @@ func toJSON(r Result) resultJSON {
 // cap. Real URLs rarely exceed 2KB; 8KB leaves room for JSON overhead.
 const maxURLBytes = 8192
 
+// classify reads and checks the whole body before it resolves the
+// model: a slow upload then pins no model version, so a swap during it
+// never waits on the client to release the old version's file mapping.
 func (h *handler) classify(w http.ResponseWriter, r *http.Request) {
-	engine, info, release, ok := h.resolve(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	st := engine.Stats()
-	st.RecordRequest()
-	st.IncInFlight()
-	defer st.DecInFlight()
-	tr := obs.TraceFrom(r.Context())
 	// Cap the body before decoding: the batch limit would otherwise only
 	// be enforced after an arbitrarily large []string had already been
 	// materialised. /v1/stream is the unbounded-input endpoint, and it
@@ -316,6 +309,16 @@ func (h *handler) classify(w http.ResponseWriter, r *http.Request) {
 			"batch of %d exceeds limit %d; use /v1/stream for bulk frontiers", len(urls), h.maxBatch)
 		return
 	}
+	engine, info, release, ok := h.resolve(w, r)
+	if !ok {
+		return
+	}
+	defer release()
+	st := engine.Stats()
+	st.RecordRequest()
+	st.IncInFlight()
+	defer st.DecInFlight()
+	tr := obs.TraceFrom(r.Context())
 	results := engine.ClassifyBatchTrace(urls, tr)
 	var t0 time.Time
 	if tr != nil {
@@ -355,9 +358,9 @@ func (h *handler) classify(w http.ResponseWriter, r *http.Request) {
 // back in input order, one JSON object per line, flushed per chunk so a
 // crawler can pipe its frontier through without buffering it. The
 // stream pins its engine for its whole duration: a model swapped out
-// mid-stream keeps answering this stream's lines and is closed when the
-// stream (and any other holder) lets go — in-flight work drains, it is
-// never cut off.
+// mid-stream keeps answering this stream's lines, and its file is
+// unmapped only when the stream (and any other holder) lets go —
+// in-flight work drains, it is never cut off.
 //
 // A stream that ends early — a bad or over-long line — leaves the rest
 // of its upload unread. In full duplex, net/http drains such a body only
@@ -687,18 +690,11 @@ func (h *handler) exposeModels(x *obs.ExpoWriter) {
 		"Result-cache hits.", (*Stats).CacheHits)
 	counter("urllangid_model_cache_misses_total",
 		"Result-cache misses.", (*Stats).CacheMisses)
-	counter("urllangid_model_deduped_total",
-		"URLs answered by in-batch duplicate fan-out.", (*Stats).Deduped)
 
 	x.Family("urllangid_model_in_flight",
 		"Serving requests currently holding the model.", obs.KindGauge)
 	for _, m := range scr {
 		x.IntSample("urllangid_model_in_flight", m.labels, m.stats.InFlight())
-	}
-	x.Family("urllangid_model_queue_depth",
-		"Batch-assist closures waiting in the engine's worker pool.", obs.KindGauge)
-	for _, m := range scr {
-		x.IntSample("urllangid_model_queue_depth", m.labels, int64(m.engine.QueueDepth()))
 	}
 	x.Family("urllangid_model_cache_entries",
 		"Live result-cache entries.", obs.KindGauge)

@@ -62,7 +62,6 @@ func TestHTTPMetricsExposition(t *testing.T) {
 		`urllangid_model_cache_misses_total{model="default"} 1`,
 		`urllangid_model_cache_entries{model="default"} 1`,
 		`urllangid_model_in_flight{model="default"} 0`,
-		`urllangid_model_queue_depth{model="default"} 0`,
 		"# TYPE urllangid_model_latency_seconds histogram",
 		`urllangid_model_latency_seconds_count{model="default"} 1`,
 		`urllangid_model_ready{model="default"} 1`,
@@ -145,7 +144,6 @@ func (s *slotStateResolver) SlotStates() []SlotState { return s.states }
 func TestHTTPReadyz(t *testing.T) {
 	snap, _ := snapshot(t)
 	e := New(snap, Options{})
-	defer e.Close()
 	static := Static(e, ModelInfo{Model: snap.Describe()})
 
 	cases := []struct {
@@ -182,7 +180,6 @@ func TestHTTPReadyz(t *testing.T) {
 func TestHTTPSlowLog(t *testing.T) {
 	snap, _ := snapshot(t)
 	e := New(snap, Options{CacheCapacity: 64})
-	defer e.Close()
 	var buf bytes.Buffer
 	srv := httptest.NewServer(NewHandler(
 		Static(e, ModelInfo{Model: snap.Describe()}),
@@ -230,7 +227,7 @@ func TestHTTPStatsInFlightShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := decodeBody[map[string]any](t, resp)
-	for _, key := range []string{"in_flight", "deduped"} {
+	for _, key := range []string{"in_flight"} {
 		if _, ok := stats[key]; !ok {
 			t.Errorf("/stats missing %q key: %v", key, stats)
 		}

@@ -353,7 +353,6 @@ func TestHTTPStreamBadLineReportsError(t *testing.T) {
 func TestHTTPStreamBadLineOnOpenUpload(t *testing.T) {
 	snap, _ := snapshot(t)
 	e := New(snap, Options{Workers: 1})
-	defer e.Close()
 	res := &pinCounter{Resolver: Static(e, ModelInfo{Model: snap.Describe()})}
 	srv := httptest.NewUnstartedServer(NewHandler(res, HandlerOptions{}))
 	var serverLog bytes.Buffer
@@ -440,7 +439,6 @@ func streamLines(t *testing.T, url string, body io.Reader) []string {
 func TestHTTPStreamLineTooLong(t *testing.T) {
 	snap, _ := snapshot(t)
 	eng := New(snap, Options{})
-	defer eng.Close()
 	srv := httptest.NewUnstartedServer(NewHandler(Static(eng, ModelInfo{Model: snap.Describe()}), HandlerOptions{}))
 	var serverLog bytes.Buffer
 	srv.Config.ErrorLog = log.New(&serverLog, "", 0)
@@ -505,13 +503,43 @@ func (p *pinCounter) Resolve(name string) (*Engine, ModelInfo, func(), error) {
 	return e, info, func() { p.pins.Add(-1); release() }, nil
 }
 
+// TestHTTPClassifyPinsAfterBody: /v1/classify resolves its model only
+// once the body is read, so an upload that stalls halfway pins no
+// model version, and a swap during it need not wait for the client.
+func TestHTTPClassifyPinsAfterBody(t *testing.T) {
+	snap, _ := snapshot(t)
+	res := &pinCounter{Resolver: Static(New(snap, Options{}), ModelInfo{Model: snap.Describe()})}
+	h := NewHandler(res, HandlerOptions{})
+	pr, pw := io.Pipe()
+	done := make(chan *httptest.ResponseRecorder)
+	go func() { done <- post(h, "/v1/classify", pr) }()
+	// A pipe write returns once the handler has read every byte of it,
+	// so from here on the handler waits on the rest of the body.
+	if _, err := io.WriteString(pw, `{"urls":["http://www.wetter.de/eins",`); err != nil {
+		t.Fatal(err)
+	}
+	if n := res.pins.Load(); n != 0 {
+		t.Errorf("%d pins while the body is stalled, want 0", n)
+	}
+	if _, err := io.WriteString(pw, `"http://www.annonces.fr/deux"]}`); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	rec := <-done
+	if rec.Code != http.StatusOK || strings.Count(rec.Body.String(), `"url":`) != 2 {
+		t.Errorf("answer %d %q, want 200 with two results", rec.Code, rec.Body.String())
+	}
+	if n := res.pins.Load(); n != 0 {
+		t.Errorf("%d pins after the answer, want 0", n)
+	}
+}
+
 // TestHTTPStreamClientDisconnect: a client that goes away mid-upload,
 // with the handler waiting on its body, ends the handler with the
 // registry pin released and no goroutine left behind.
 func TestHTTPStreamClientDisconnect(t *testing.T) {
 	snap, _ := snapshot(t)
 	e := New(snap, Options{Workers: 1})
-	defer e.Close()
 	res := &pinCounter{Resolver: Static(e, ModelInfo{Model: snap.Describe()})}
 	srv := httptest.NewServer(NewHandler(res, HandlerOptions{}))
 	defer srv.Close()
@@ -694,7 +722,6 @@ func newMultiServer(t *testing.T) (*httptest.Server, *multiResolver) {
 	snap, _ := snapshot(t)
 	fast := New(snap, Options{CacheCapacity: 64})
 	slow := New(snap, Options{})
-	t.Cleanup(func() { fast.Close(); slow.Close() })
 	m := &multiResolver{
 		engines: map[string]*Engine{"fast": fast, "slow": slow},
 		infos: map[string]ModelInfo{

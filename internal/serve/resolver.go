@@ -55,8 +55,8 @@ type Resolver interface {
 	// Resolve pins the engine currently serving name ("" selects the
 	// default model) and returns it with its identity and a release
 	// function. The caller must call release when done with the engine —
-	// a swapped-out engine is closed only after its last holder
-	// releases, which is exactly the zero-downtime drain.
+	// a swapped-out version's backing file is unmapped only after its
+	// last holder releases, which is exactly the zero-downtime drain.
 	Resolve(name string) (*Engine, ModelInfo, func(), error)
 	// Models lists the live model versions, default first.
 	Models() []ModelInfo
@@ -100,8 +100,7 @@ func releaseNothing() {}
 
 // Static adapts a single fixed engine to the Resolver interface: the
 // one-model, no-reload serving plane. If info.Name is empty the model
-// is served as "default". The caller keeps ownership of the engine and
-// closes it after the handler is done.
+// is served as "default".
 func Static(e *Engine, info ModelInfo) Resolver {
 	if info.Name == "" {
 		info.Name = "default"

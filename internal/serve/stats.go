@@ -27,8 +27,7 @@ type Stats struct {
 	urls     obs.Counter // URLs classified, cached or not
 	hits     obs.Counter
 	misses   obs.Counter
-	deduped  obs.Counter // URLs answered by in-batch dedup fan-out
-	inFlight obs.Gauge   // serving requests currently holding this model
+	inFlight obs.Gauge // serving requests currently holding this model
 	latency  obs.Histogram
 	// One-second QPS buckets, indexed by unix-second modulo secBuckets.
 	// The tag-reset on second rollover is racy by design: a lost count
@@ -93,22 +92,6 @@ func (s *Stats) RecordUncached(d time.Duration) {
 	s.latency.Observe(int64(d))
 }
 
-// RecordDeduped counts one URL whose result was copied from an earlier
-// identical URL in the same batch. With a cache present the copy is
-// indistinguishable from a hit (the primary's entry would have served
-// it); without one it only counts toward throughput — no latency sample
-// either way, since nothing was scored.
-func (s *Stats) RecordDeduped(cached bool) {
-	if s == nil {
-		return
-	}
-	s.countURL()
-	s.deduped.Inc()
-	if cached {
-		s.hits.Inc()
-	}
-}
-
 func (s *Stats) countURL() {
 	s.urls.Inc()
 	sec := time.Now().Unix()
@@ -157,14 +140,6 @@ func (s *Stats) CacheMisses() int64 {
 	return s.misses.Value()
 }
 
-// Deduped returns the in-batch dedup fan-out count.
-func (s *Stats) Deduped() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.deduped.Value()
-}
-
 // InFlight returns the serving requests currently holding this model.
 func (s *Stats) InFlight() int64 {
 	if s == nil {
@@ -188,18 +163,13 @@ type Snapshot struct {
 	Requests      int64   `json:"requests"`
 	URLs          int64   `json:"urls"`
 	InFlight      int64   `json:"in_flight"`
-	// Deduped counts URLs answered by copying an earlier identical URL's
-	// result within one batch — work the dedup pass saved the scorer.
-	Deduped      int64   `json:"deduped"`
-	CacheHits    int64   `json:"cache_hits"`
-	CacheMisses  int64   `json:"cache_misses"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
+	CacheHits     int64   `json:"cache_hits"`
+	CacheMisses   int64   `json:"cache_misses"`
+	CacheHitRate  float64 `json:"cache_hit_rate"`
 	// CacheHitRatio is the fraction of *all* classified URLs the cache
 	// answered — hits over URLs, where CacheHitRate is hits over cache
 	// lookups only. On a cache-less engine it stays 0 while CacheHitRate
-	// reads "no lookups"; with in-batch dedup the two also diverge
-	// (deduped copies count as URLs but only as hits when a cache would
-	// have served them).
+	// reads "no lookups".
 	CacheHitRatio  float64 `json:"cache_hit_ratio"`
 	CacheEntries   int     `json:"cache_entries"`
 	QPSLifetime    float64 `json:"qps_lifetime"`
@@ -219,7 +189,6 @@ func (s *Stats) TakeSnapshot(cacheEntries int) Snapshot {
 		Requests:      s.requests.Value(),
 		URLs:          s.urls.Value(),
 		InFlight:      s.inFlight.Value(),
-		Deduped:       s.deduped.Value(),
 		CacheHits:     s.hits.Value(),
 		CacheMisses:   s.misses.Value(),
 		CacheEntries:  cacheEntries,

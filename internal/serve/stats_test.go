@@ -127,46 +127,6 @@ func TestQPSRecentEmpty(t *testing.T) {
 	}
 }
 
-func TestRecordDeduped(t *testing.T) {
-	s := NewStats()
-	s.RecordURL(time.Millisecond, false)
-	s.RecordDeduped(true)
-	s.RecordDeduped(true)
-	snap := s.TakeSnapshot(0)
-	if snap.URLs != 3 {
-		t.Errorf("URLs = %d, want 3", snap.URLs)
-	}
-	if snap.CacheHits != 2 || snap.CacheMisses != 1 {
-		t.Errorf("hits/misses = %d/%d, want 2/1", snap.CacheHits, snap.CacheMisses)
-	}
-	if snap.Deduped != 2 {
-		t.Errorf("deduped = %d, want 2", snap.Deduped)
-	}
-
-	// Cache-less engines keep hit/miss untouched for deduped URLs too.
-	s2 := NewStats()
-	s2.RecordUncached(time.Millisecond)
-	s2.RecordDeduped(false)
-	snap2 := s2.TakeSnapshot(0)
-	if snap2.URLs != 2 || snap2.CacheHits != 0 || snap2.CacheMisses != 0 {
-		t.Errorf("cache-less dedup: URLs=%d hits=%d misses=%d, want 2/0/0",
-			snap2.URLs, snap2.CacheHits, snap2.CacheMisses)
-	}
-	if snap2.Deduped != 1 {
-		t.Errorf("cache-less deduped = %d, want 1", snap2.Deduped)
-	}
-
-	// A nil Stats must no-op rather than panic (engines without stats).
-	var nilStats *Stats
-	nilStats.RecordDeduped(true)
-	nilStats.RecordRequest()
-	nilStats.IncInFlight()
-	nilStats.DecInFlight()
-	if nilStats.Latency() != nil {
-		t.Error("nil Stats must expose a nil histogram")
-	}
-}
-
 // TestInFlightGauge pins the pairing contract.
 func TestInFlightGauge(t *testing.T) {
 	s := NewStats()
@@ -178,5 +138,14 @@ func TestInFlightGauge(t *testing.T) {
 	}
 	if snap := s.TakeSnapshot(0); snap.InFlight != 1 {
 		t.Errorf("snapshot in-flight = %d, want 1", snap.InFlight)
+	}
+
+	// A nil Stats must no-op rather than panic (engines without stats).
+	var nilStats *Stats
+	nilStats.RecordRequest()
+	nilStats.IncInFlight()
+	nilStats.DecInFlight()
+	if nilStats.Latency() != nil {
+		t.Error("nil Stats must expose a nil histogram")
 	}
 }

@@ -19,15 +19,13 @@ type ModelInfo = serve.ModelInfo
 // each installed model version. The zero value serves with GOMAXPROCS
 // workers and caching disabled, like a zero Batcher.
 type RegistryOptions struct {
-	// Workers bounds each model engine's batch worker pool
+	// Workers bounds each model engine's batch parallelism
 	// (default GOMAXPROCS).
 	Workers int
 	// CacheCapacity is each model engine's result-cache budget in
 	// entries; 0 disables caching. Every installed version gets a fresh
 	// cache — results from a replaced model are never served.
 	CacheCapacity int
-	// CacheShards is the cache shard count (default 16).
-	CacheShards int
 }
 
 // Registry is a versioned, hot-reloadable collection of named serving
@@ -35,9 +33,9 @@ type RegistryOptions struct {
 // under names, and any slot can be atomically replaced — by a newly
 // trained model (Install), or by re-reading a redeployed model file
 // (Reload) — with zero downtime: requests in flight when a swap lands
-// finish on the engine they started on, and that engine is closed only
-// after the last one finishes. New requests route to the new version
-// immediately.
+// finish on the version they started on, and that version's file is
+// unmapped only after the last one finishes. New requests route to the
+// new version immediately.
 //
 //	reg := urllangid.NewRegistry(urllangid.RegistryOptions{CacheCapacity: 1 << 16})
 //	defer reg.Close()
@@ -50,7 +48,7 @@ type RegistryOptions struct {
 // registry lookup is lock-light and alloc-free, and the engine
 // underneath scores through the same zero-allocation compiled path as
 // a Snapshot. A Registry is safe for concurrent use; Close it when
-// done or engine worker pools stay parked. cmd/urllangid-serve exposes
+// done to unmap its model files. cmd/urllangid-serve exposes
 // exactly this registry over HTTP, with ?model= routing and
 // POST /v1/models/{name}/reload.
 type Registry struct {
@@ -64,7 +62,6 @@ func NewRegistry(opts RegistryOptions) *Registry {
 		Engine: serve.Options{
 			Workers:       opts.Workers,
 			CacheCapacity: opts.CacheCapacity,
-			CacheShards:   opts.CacheShards,
 		},
 	})}
 }
@@ -174,11 +171,11 @@ func (r *Registry) Classify(name, rawURL string) (Result, error) {
 	return l.Engine().Classify(rawURL).Result, nil
 }
 
-// ClassifyBatch classifies many URLs with the named model ("" selects
-// the default) across its engine's worker pool, one Result per URL in
-// input order. Identical URLs within the batch are scored once, and
-// with CacheCapacity set, repeats across batches are served from the
-// model's cache. The whole batch runs on one model version: a swap
+// ClassifyBatch classifies many URLs in parallel with the named model
+// ("" selects the default), one Result per URL in input order. With
+// CacheCapacity set, a URL seen before — in an earlier batch, or
+// earlier in this one once its first copy is scored — is served from
+// the model's cache. The whole batch runs on one model version: a swap
 // landing mid-batch takes effect for the next call.
 func (r *Registry) ClassifyBatch(name string, urls []string) ([]Result, error) {
 	l, err := r.reg.Acquire(name)
@@ -201,6 +198,7 @@ func (r *Registry) Stats(name string) (BatcherStats, error) {
 	return l.Engine().StatsSnapshot(), nil
 }
 
-// Close retires every model: engines close as soon as their in-flight
-// requests finish. Classify fails afterwards. Close is idempotent.
+// Close retires every model: each model file is unmapped as soon as
+// its in-flight requests finish. Classify fails afterwards. Close is
+// idempotent.
 func (r *Registry) Close() error { return r.reg.Close() }

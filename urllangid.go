@@ -39,7 +39,7 @@
 // results are bit-identical but markedly faster — and allocation-free,
 // which is what lets a crawler filter millions of frontier URLs without
 // GC pressure. For sustained throughput, wrap any Model in a Batcher
-// (worker pool, result cache, serving stats), or hold several under
+// (result cache, serving stats), or hold several under
 // names in a Registry — a versioned model collection whose slots can be
 // atomically hot-swapped or reloaded from redeployed files with zero
 // downtime. cmd/urllangid-serve exposes the registry over a
@@ -56,7 +56,6 @@ package urllangid
 import (
 	"fmt"
 	"io"
-	"runtime"
 
 	"urllangid/internal/calib"
 	"urllangid/internal/compiled"
@@ -128,7 +127,7 @@ type Model interface {
 	// Classify returns the URL's five-language classification.
 	Classify(rawURL string) Result
 	// ClassifyBatch classifies many URLs in parallel, one Result per
-	// URL in input order. Identical URLs are scored once per batch.
+	// URL in input order.
 	ClassifyBatch(urls []string) []Result
 	// Describe returns the configuration label, e.g. "NB/word".
 	Describe() string
@@ -274,12 +273,12 @@ func (c *Classifier) Classify(rawURL string) Result {
 	return c.sys.Classify(rawURL)
 }
 
-// ClassifyBatch classifies many URLs in parallel across a transient
-// worker pool, returning one Result per URL in input order. Results are
-// identical to calling Classify per URL; only the wall-clock changes.
-// For sustained serving workloads, wrap the classifier in a Batcher —
-// it keeps its worker pool and result cache alive across batches — or
-// Compile it into a Snapshot for a faster scoring path.
+// ClassifyBatch classifies many URLs in parallel, returning one Result
+// per URL in input order. Results are identical to calling Classify
+// per URL; only the wall-clock changes. For sustained serving
+// workloads, wrap the classifier in a Batcher — it keeps a result cache
+// across batches — or Compile it into a Snapshot for a faster scoring
+// path.
 func (c *Classifier) ClassifyBatch(urls []string) []Result {
 	return classifyBatchOnce(c.sys, urls)
 }
@@ -403,10 +402,10 @@ func (s *Snapshot) Classify(rawURL string) Result {
 	return s.snap.Classify(rawURL)
 }
 
-// ClassifyBatch classifies many URLs in parallel across a transient
-// worker pool, one Result per URL in input order; identical URLs within
-// the batch are scored once. For sustained workloads wrap the snapshot
-// in a Batcher, which keeps its pool and result cache across batches.
+// ClassifyBatch classifies many URLs in parallel, one Result per URL in
+// input order, each identical to what Classify returns. For sustained
+// workloads wrap the snapshot in a Batcher, which keeps a result cache
+// across batches.
 func (s *Snapshot) ClassifyBatch(urls []string) []Result {
 	return classifyBatchOnce(s.snap, urls)
 }
@@ -519,20 +518,10 @@ func (s *Snapshot) Compiled() bool { return s.snap.Compiled() }
 // "tld" (country-code baseline).
 func (s *Snapshot) Mode() string { return s.snap.Mode() }
 
-// classifyBatchOnce runs one ordered, deduplicated batch through a
-// transient serving engine: worker-pool parallelism sized to the batch
-// (tiny batches skip the pool entirely), no cache, no stats, nothing
-// left running afterwards.
+// classifyBatchOnce runs one ordered batch through a transient serving
+// engine: GOMAXPROCS-way parallelism, no cache, no stats.
 func classifyBatchOnce(p serve.Predictor, urls []string) []Result {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(urls) {
-		workers = len(urls)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	e := serve.New(p, serve.Options{Workers: workers, NoStats: true})
-	defer e.Close()
+	e := serve.New(p, serve.Options{NoStats: true})
 	return collapseBatch(e.ClassifyBatch(urls))
 }
 
