@@ -31,12 +31,8 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"io"
 	"os"
 	"os/exec"
@@ -44,6 +40,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"urllangid/internal/analysis"
 )
 
 func main() {
@@ -59,7 +57,7 @@ func run(out io.Writer, args []string) int {
 		return 2
 	}
 
-	fns, pkgs, err := discoverHotpath(*dir)
+	fns, pkgs, err := hotPackages(*dir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "urllangid-escape: %v\n", err)
 		return 2
@@ -104,77 +102,27 @@ func run(out io.Writer, args []string) int {
 	return 0
 }
 
-// hotFunc is one //urllangid:hotpath-annotated declaration: its
-// module-wide identity and the source range compiler diagnostics are
-// attributed by.
-type hotFunc struct {
-	ID         string // pkgpath.Recv.Name / pkgpath.Name
-	File       string // path relative to the module root, slash-form
-	Start, End int    // declaration line range, inclusive
-}
-
-// listPackage is the subset of `go list -json` the tool consumes.
-type listPackage struct {
-	Dir        string
-	ImportPath string
-	GoFiles    []string
-	Module     *struct{ Dir string }
-}
-
-// discoverHotpath parses every package's non-test sources and returns
-// the annotated functions plus the import paths of the packages that
-// contain them (the build set).
-func discoverHotpath(dir string) ([]hotFunc, []string, error) {
-	cmd := exec.Command("go", "list", "-json", "./...")
-	cmd.Dir = dir
-	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	outBytes, err := cmd.Output()
+// hotPackages returns the module's //urllangid:hotpath functions, each
+// File made relative to the module root in slash form (the form
+// compiler diagnostics use), and the sorted import paths of the
+// packages that declare them (the build set).
+func hotPackages(dir string) ([]analysis.HotFunc, []string, error) {
+	fns, err := analysis.ScanHotpath(dir, "./...")
 	if err != nil {
-		return nil, nil, fmt.Errorf("go list ./...: %v\n%s", err, stderr.String())
+		return nil, nil, err
 	}
 	rootAbs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	var fns []hotFunc
 	pkgSet := make(map[string]bool)
-	fset := token.NewFileSet()
-	dec := json.NewDecoder(bytes.NewReader(outBytes))
-	for {
-		var p listPackage
-		if err := dec.Decode(&p); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, nil, fmt.Errorf("decoding go list output: %w", err)
+	for i := range fns {
+		rel, err := filepath.Rel(rootAbs, fns[i].File)
+		if err != nil {
+			return nil, nil, err
 		}
-		for _, name := range p.GoFiles {
-			path := filepath.Join(p.Dir, name)
-			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-			if err != nil {
-				return nil, nil, fmt.Errorf("parsing %s: %w", path, err)
-			}
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || !hasHotpathDirective(fd.Doc) {
-					continue
-				}
-				rel, err := filepath.Rel(rootAbs, path)
-				if err != nil {
-					return nil, nil, err
-				}
-				fns = append(fns, hotFunc{
-					ID:    funcID(p.ImportPath, fd),
-					File:  filepath.ToSlash(rel),
-					Start: fset.Position(fd.Pos()).Line,
-					End:   fset.Position(fd.End()).Line,
-				})
-				pkgSet[p.ImportPath] = true
-			}
-		}
+		fns[i].File = filepath.ToSlash(rel)
+		pkgSet[fns[i].Pkg] = true
 	}
 	pkgs := make([]string, 0, len(pkgSet))
 	for p := range pkgSet {
@@ -182,41 +130,6 @@ func discoverHotpath(dir string) ([]hotFunc, []string, error) {
 	}
 	sort.Strings(pkgs)
 	return fns, pkgs, nil
-}
-
-func hasHotpathDirective(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if strings.TrimSpace(c.Text) == "//urllangid:hotpath" {
-			return true
-		}
-	}
-	return false
-}
-
-// funcID names a declaration module-wide: "pkg.Recv.Name" for methods
-// (pointerness and type parameters stripped), "pkg.Name" otherwise.
-func funcID(pkgPath string, fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return pkgPath + "." + fd.Name.Name
-	}
-	t := fd.Recv.List[0].Type
-	for {
-		switch x := t.(type) {
-		case *ast.StarExpr:
-			t = x.X
-		case *ast.IndexExpr:
-			t = x.X
-		case *ast.IndexListExpr:
-			t = x.X
-		case *ast.Ident:
-			return pkgPath + "." + x.Name + "." + fd.Name.Name
-		default:
-			return pkgPath + "." + fd.Name.Name
-		}
-	}
 }
 
 // diag is one parsed compiler line.
@@ -297,10 +210,10 @@ func classify(msg string) (string, bool) {
 // and renders the normalized manifest: one sorted line per function,
 // facts deduplicated and sorted, "clean" when the compiler had nothing
 // to say.
-func buildManifest(fns []hotFunc, diags []diag) string {
+func buildManifest(fns []analysis.HotFunc, diags []diag) string {
 	facts := make(map[string]map[string]bool, len(fns))
 	for _, fn := range fns {
-		facts[fn.ID] = make(map[string]bool)
+		facts[fn.Key] = make(map[string]bool)
 	}
 	for _, d := range diags {
 		fact, ok := classify(d.Msg)
@@ -309,7 +222,7 @@ func buildManifest(fns []hotFunc, diags []diag) string {
 		}
 		for _, fn := range fns {
 			if fn.File == d.File && fn.Start <= d.Line && d.Line <= fn.End {
-				facts[fn.ID][fact] = true
+				facts[fn.Key][fact] = true
 				break
 			}
 		}

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"urllangid/internal/analysis"
 )
 
 // sample mirrors real `go build -gcflags=-m` output: group headers,
@@ -61,10 +63,10 @@ func TestClassify(t *testing.T) {
 }
 
 func TestBuildManifestAttribution(t *testing.T) {
-	fns := []hotFunc{
-		{ID: "mod/pkg.Hot", File: "pkg/f.go", Start: 10, End: 20},
-		{ID: "mod/pkg.Cold", File: "pkg/f.go", Start: 30, End: 40},
-		{ID: "mod/other.T.M", File: "other/g.go", Start: 5, End: 9},
+	fns := []analysis.HotFunc{
+		{Key: "mod/pkg.Hot", File: "pkg/f.go", Start: 10, End: 20},
+		{Key: "mod/pkg.Cold", File: "pkg/f.go", Start: 30, End: 40},
+		{Key: "mod/other.T.M", File: "other/g.go", Start: 5, End: 9},
 	}
 	diags := []diag{
 		{File: "pkg/f.go", Line: 12, Msg: "x escapes to heap"},

@@ -7,26 +7,18 @@
 //
 // Packages default to ./... relative to the current directory; any
 // pattern `go list` understands works, including explicit testdata
-// directories that wildcards skip.
+// directories that wildcards skip. -only runs a comma-separated subset
+// of the analyzers, -list names them all, and -C resolves packages
+// from another directory. Findings waived by a //urllangid:ignore
+// directive are never reported.
 //
-// -json switches the report to NDJSON: one object per diagnostic with
-// analyzer, position, message and suppressed fields. Suppressed
-// findings (waived by //urllangid:ignore) are included in the JSON
-// stream — machine consumers get to audit what the directives hide —
-// but never in the human output, and never in the exit status.
-//
-// -tests extends the analyzed file set with each package's in-package
-// _test.go files (off by default: test files assert the contracts, the
-// production files carry them).
-//
-// The exit status is 0 when the tree is clean, 1 when any unsuppressed
-// diagnostic is reported, and 2 on a loading or internal error — the
-// same convention as go vet, so `make lint` and CI can distinguish
-// "found a violation" from "could not analyze".
+// The exit status is 0 when the tree is clean, 1 when any finding is
+// reported, and 2 on a loading or internal error — the same convention
+// as go vet, so `make lint` and CI can distinguish "found a violation"
+// from "could not analyze".
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -40,24 +32,11 @@ func main() {
 	os.Exit(run(os.Stdout, os.Args[1:]))
 }
 
-// jsonDiag is the NDJSON shape of one diagnostic. The position is
-// pre-split so consumers never parse the human file:line:col form.
-type jsonDiag struct {
-	Analyzer   string `json:"analyzer"`
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Column     int    `json:"column"`
-	Message    string `json:"message"`
-	Suppressed bool   `json:"suppressed"`
-}
-
 func run(out io.Writer, args []string) int {
 	fs := flag.NewFlagSet("urllangid-lint", flag.ContinueOnError)
 	list := fs.Bool("list", false, "list available analyzers and exit")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	dir := fs.String("C", "", "change to this directory before resolving packages")
-	asJSON := fs.Bool("json", false, "emit NDJSON diagnostics (including suppressed ones) instead of the human report")
-	tests := fs.Bool("tests", false, "also analyze in-package _test.go files")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -93,7 +72,7 @@ func run(out io.Writer, args []string) int {
 		patterns = []string{"./..."}
 	}
 
-	mod, pkgs, err := analysis.Load(analysis.Config{Dir: *dir, Tests: *tests}, patterns...)
+	mod, pkgs, err := analysis.Load(*dir, patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "urllangid-lint: %v\n", err)
 		return 2
@@ -104,28 +83,10 @@ func run(out io.Writer, args []string) int {
 		return 2
 	}
 
-	if *asJSON {
-		enc := json.NewEncoder(out)
-		for _, d := range diags {
-			jd := jsonDiag{
-				Analyzer:   d.Analyzer,
-				File:       d.Pos.Filename,
-				Line:       d.Pos.Line,
-				Column:     d.Pos.Column,
-				Message:    d.Message,
-				Suppressed: d.Suppressed,
-			}
-			if err := enc.Encode(jd); err != nil {
-				fmt.Fprintf(os.Stderr, "urllangid-lint: %v\n", err)
-				return 2
-			}
-		}
-	} else {
-		for _, d := range analysis.Unsuppressed(diags) {
-			fmt.Fprintln(out, d.String())
-		}
+	for _, d := range diags {
+		fmt.Fprintln(out, d.String())
 	}
-	if len(analysis.Unsuppressed(diags)) > 0 {
+	if len(diags) > 0 {
 		return 1
 	}
 	return 0

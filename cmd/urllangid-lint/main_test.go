@@ -2,23 +2,26 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // TestRunList pins the CLI contract the Makefile and CI lean on:
-// -list names every registered analyzer and exits 0.
+// -list names exactly the registered analyzers, in order, and exits 0.
 func TestRunList(t *testing.T) {
 	var out bytes.Buffer
 	if code := run(&out, []string{"-list"}); code != 0 {
 		t.Fatalf("run(-list) = %d, want 0", code)
 	}
-	for _, name := range []string{"pinpair", "lockorder", "goroutineleak", "hotpathalloc"} {
-		if !strings.Contains(out.String(), name) {
-			t.Errorf("-list output missing analyzer %q:\n%s", name, out.String())
-		}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		names = append(names, strings.Fields(line)[0])
+	}
+	want := []string{"hotpathalloc", "pinpair", "metriclabel", "modelfileio", "lockorder"}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("-list names %v, want %v:\n%s", names, want, out.String())
 	}
 }
 
@@ -30,10 +33,13 @@ func TestRunUnknownAnalyzer(t *testing.T) {
 	}
 }
 
-// TestRunBadFlag pins flag-parse failures to exit status 2.
+// TestRunBadFlag pins flag-parse failures to exit status 2, including
+// the retired -json and -tests modes.
 func TestRunBadFlag(t *testing.T) {
-	if code := run(io.Discard, []string{"-definitely-not-a-flag"}); code != 2 {
-		t.Fatalf("run(bad flag) = %d, want 2", code)
+	for _, flag := range []string{"-definitely-not-a-flag", "-json", "-tests"} {
+		if code := run(io.Discard, []string{flag}); code != 2 {
+			t.Errorf("run(%s) = %d, want 2", flag, code)
+		}
 	}
 }
 
@@ -54,60 +60,8 @@ func TestRunSelection(t *testing.T) {
 	}
 }
 
-// TestRunJSON pins the NDJSON contract: every line is a standalone
-// JSON object with the analyzer/file/line/message/suppressed fields,
-// suppressed findings are present in the stream (the corpus's pinned
-// case carries an ignore directive), and suppressed-only lines do not
-// affect the exit status.
-func TestRunJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks a testdata package")
-	}
-	var out bytes.Buffer
-	code := run(&out, []string{
-		"-C", "../..",
-		"-json",
-		"-only", "pinpair",
-		"./internal/analysis/testdata/src/pinpair",
-	})
-	if code != 1 {
-		t.Fatalf("run(-json pinpair corpus) = %d, want 1", code)
-	}
-	var sawSuppressed, sawActive bool
-	dec := json.NewDecoder(&out)
-	for dec.More() {
-		var d struct {
-			Analyzer   string `json:"analyzer"`
-			File       string `json:"file"`
-			Line       int    `json:"line"`
-			Message    string `json:"message"`
-			Suppressed bool   `json:"suppressed"`
-		}
-		if err := dec.Decode(&d); err != nil {
-			t.Fatalf("decoding NDJSON line: %v", err)
-		}
-		if d.Analyzer != "pinpair" {
-			t.Errorf("unexpected analyzer %q in -only pinpair run", d.Analyzer)
-		}
-		if d.File == "" || d.Line == 0 || d.Message == "" {
-			t.Errorf("incomplete diagnostic: %+v", d)
-		}
-		if d.Suppressed {
-			sawSuppressed = true
-		} else {
-			sawActive = true
-		}
-	}
-	if !sawActive {
-		t.Error("JSON stream contains no active diagnostics; corpus has deliberate violations")
-	}
-	if !sawSuppressed {
-		t.Error("JSON stream contains no suppressed diagnostics; the corpus's ignore-directive case must appear with suppressed=true")
-	}
-}
-
-// TestRunHumanOmitsSuppressed pins the asymmetry between the two
-// output modes: the human report never shows waived findings.
+// TestRunHumanOmitsSuppressed pins that the report never shows a
+// finding waived by an ignore directive (the corpus's pinned case).
 func TestRunHumanOmitsSuppressed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks a testdata package")

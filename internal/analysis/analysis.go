@@ -1,12 +1,11 @@
 // Package analysis is the project-invariant analyzer suite behind
-// cmd/urllangid-lint: seven custom static analyzers that machine-check
+// cmd/urllangid-lint: five custom static analyzers that machine-check
 // contracts the test suite only pins at single points — the zero-
-// allocation classify hot path, the atomic-field discipline in the
-// stats and registry layers, the path-sensitive Acquire/Release lease
-// pairing, the metric label-cardinality rules, the modelfile
-// truncation guards, the module-wide mutex acquisition order (and the
-// no-blocking-under-lock rule), and goroutine joinability for
-// Close/Stop-owning types.
+// allocation classify hot path, the path-sensitive Acquire/Release
+// lease pairing, the metric label-cardinality rules, the modelfile
+// truncation guards, and the module-wide mutex acquisition order (and
+// the no-blocking-under-lock rule). Typed atomics need no analyzer of
+// their own: go vet's copylocks check flags every copy of one.
 //
 // Since PR 8 the suite is dataflow-aware: internal/analysis/cfg lowers
 // function bodies to basic-block control-flow graphs with a
@@ -98,15 +97,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // A Diagnostic is one finding, positioned for file:line:col printing.
-// Suppressed findings — those waived by a //urllangid:ignore directive
-// — are kept (flagged, not dropped) so machine consumers can audit
-// what the directives are hiding; the human output and the exit code
-// ignore them.
 type Diagnostic struct {
-	Analyzer   string
-	Pos        token.Position
-	Message    string
-	Suppressed bool
+	Analyzer string
+	Pos      token.Position
+	Message  string
 }
 
 func (d Diagnostic) String() string {
@@ -117,22 +111,17 @@ func (d Diagnostic) String() string {
 func All() []*Analyzer {
 	return []*Analyzer{
 		HotpathAlloc,
-		AtomicField,
 		PinPair,
 		MetricLabel,
 		ModelFileIO,
 		LockOrder,
-		GoroutineLeak,
 	}
 }
 
 // Run executes the analyzers over the loaded packages and returns the
-// diagnostics sorted by position. //urllangid:ignore suppressions are
-// applied by marking (not dropping) the matched findings, so callers
-// can expose them for auditing; Unsuppressed filters them out for the
-// human path. Analyzers with a Done hook get it after the last
-// package, which is where module-wide findings (lockorder cycles)
-// materialise.
+// findings not waived by a //urllangid:ignore directive, sorted by
+// position. Analyzers with a Done hook get it after the last package,
+// which is where module-wide findings (lockorder cycles) materialise.
 func Run(mod *Module, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
@@ -216,7 +205,7 @@ func ignoreDirective(text string) (analyzers []string, ok bool) {
 	return out, true
 }
 
-// suppress marks diagnostics whose line carries (or whose previous
+// suppress drops diagnostics whose line carries (or whose previous
 // line is exactly) a matching ignore directive, and synthesises
 // diagnostics for malformed directives so a reason can never be
 // omitted silently.
@@ -255,24 +244,13 @@ func suppress(fset *token.FileSet, pkgs []*Package, diags []Diagnostic) []Diagno
 			}
 		}
 	}
-	for i := range diags {
-		if ignored[key{diags[i].Pos.Filename, diags[i].Pos.Line, diags[i].Analyzer}] {
-			diags[i].Suppressed = true
-		}
-	}
-	return append(diags, malformed...)
-}
-
-// Unsuppressed filters diags down to the findings not waived by an
-// ignore directive — the set that fails the build.
-func Unsuppressed(diags []Diagnostic) []Diagnostic {
-	out := make([]Diagnostic, 0, len(diags))
+	kept := diags[:0]
 	for _, d := range diags {
-		if !d.Suppressed {
-			out = append(out, d)
+		if !ignored[key{d.Pos.Filename, d.Pos.Line, d.Analyzer}] {
+			kept = append(kept, d)
 		}
 	}
-	return out
+	return append(kept, malformed...)
 }
 
 // funcKey builds the module-wide identity of a function or method:

@@ -39,7 +39,7 @@ type want struct {
 // matches the diagnostics against the package's want comments.
 func Run(t *testing.T, a *analysis.Analyzer, pattern string) {
 	t.Helper()
-	mod, pkgs, err := analysis.Load(analysis.Config{}, pattern)
+	mod, pkgs, err := analysis.Load("", pattern)
 	if err != nil {
 		t.Fatalf("loading %s: %v", pattern, err)
 	}
@@ -47,9 +47,6 @@ func Run(t *testing.T, a *analysis.Analyzer, pattern string) {
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, pattern, err)
 	}
-	// Suppressed findings are marked, not dropped; the golden contract
-	// covers what the build would fail on.
-	diags = analysis.Unsuppressed(diags)
 
 	wants := make(map[loc][]*want)
 	for _, pkg := range pkgs {

@@ -50,16 +50,13 @@ func (m *Module) InModule(pkgPath string) bool {
 }
 
 // listPackage is the subset of `go list -json` output the loader
-// consumes. IgnoredGoFiles (build-tag-excluded sources) are listed so
-// the loader's contract is testable: they never reach the analyzers.
+// consumes.
 type listPackage struct {
-	Dir            string
-	ImportPath     string
-	Standard       bool
-	GoFiles        []string
-	TestGoFiles    []string
-	IgnoredGoFiles []string
-	Module         *struct{ Path string }
+	Dir        string
+	ImportPath string
+	Standard   bool
+	GoFiles    []string
+	Module     *struct{ Path string }
 }
 
 // goList runs `go list -json` with the given arguments in dir and
@@ -90,33 +87,75 @@ func goList(dir string, args ...string) ([]listPackage, error) {
 	return pkgs, nil
 }
 
-// Config adjusts what Load feeds the analyzers.
-type Config struct {
-	// Dir is the directory patterns resolve relative to; "" means the
-	// current directory.
-	Dir string
-	// Tests includes each target package's in-package _test.go files
-	// (go list's TestGoFiles) in the analyzed file set. Default off:
-	// test files assert contracts rather than carry them, and corpora
-	// or future test-only allocation scaffolding must not trip
-	// hot-path rules. External test packages (package foo_test) stay
-	// out either way — they are a different package, not extra files
-	// of the target. The hotpath fact scan always reads only GoFiles:
-	// a test file cannot widen the serving contract.
-	Tests bool
+// A HotFunc is one declaration whose doc comment carries the
+// //urllangid:hotpath directive.
+type HotFunc struct {
+	// Key is the function's module-wide identity: "pkgpath.Recv.Name"
+	// for methods (pointerness and type parameters stripped),
+	// "pkgpath.Name" otherwise.
+	Key string
+	// Pkg is the import path of the declaring package.
+	Pkg string
+	// File is the declaring file's path; Start and End are the
+	// declaration's first and last lines.
+	File       string
+	Start, End int
+}
+
+// ScanHotpath finds every //urllangid:hotpath declaration in the
+// non-standard packages of the dependency closure of patterns (as `go
+// list` understands them, relative to dir; "" means the current
+// directory). The scan is parse-only — no type checking — so it stays
+// cheap, and it reads only GoFiles: a test file cannot widen the
+// serving contract. Load uses it for the hotpathalloc contract edge,
+// and the escape gate (cmd/urllangid-escape) for the functions whose
+// compiler diagnostics it pins.
+func ScanHotpath(dir string, patterns ...string) ([]HotFunc, error) {
+	pkgs, err := goList(dir, append([]string{"-deps", "--"}, patterns...)...)
+	if err != nil {
+		return nil, err
+	}
+	var hot []HotFunc
+	fset := token.NewFileSet()
+	for _, p := range pkgs {
+		if p.Standard {
+			continue
+		}
+		for _, name := range p.GoFiles {
+			path := filepath.Join(p.Dir, name)
+			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+			if err != nil {
+				return nil, fmt.Errorf("scanning %s: %w", path, err)
+			}
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || !hasDirective(fd.Doc, "//urllangid:hotpath") {
+					continue
+				}
+				hot = append(hot, HotFunc{
+					Key:   funcKey(p.ImportPath, recvTypeName(fd), fd.Name.Name),
+					Pkg:   p.ImportPath,
+					File:  path,
+					Start: fset.Position(fd.Pos()).Line,
+					End:   fset.Position(fd.End()).Line,
+				})
+			}
+		}
+	}
+	return hot, nil
 }
 
 // Load resolves patterns (as `go list` understands them, relative to
-// cfg.Dir), type-checks each matched package from source, and
-// pre-scans every in-module dependency for //urllangid:hotpath
-// annotations. Build-tag-excluded sources (go list's IgnoredGoFiles)
-// never reach the analyzers, and _test.go files only when cfg.Tests is
-// set. Explicit testdata directories are loadable — wildcard patterns
-// skip them, which is how the analyzers' golden packages stay out of
-// the ordinary build while remaining reachable by the analysistest
+// dir; "" means the current directory), type-checks each matched
+// package from source, and records the module's //urllangid:hotpath
+// annotations through ScanHotpath. Only go list's GoFiles reach the
+// analyzers: build-tag-excluded sources and _test.go files never do
+// (test files assert the contracts; the production files carry them).
+// Explicit testdata directories are loadable — wildcard patterns skip
+// them, which is how the analyzers' golden packages stay out of the
+// ordinary build while remaining reachable by the analysistest
 // harness.
-func Load(cfg Config, patterns ...string) (*Module, []*Package, error) {
-	dir := cfg.Dir
+func Load(dir string, patterns ...string) (*Module, []*Package, error) {
 	targets, err := goList(dir, append([]string{"--"}, patterns...)...)
 	if err != nil {
 		return nil, nil, err
@@ -124,41 +163,20 @@ func Load(cfg Config, patterns ...string) (*Module, []*Package, error) {
 	if len(targets) == 0 {
 		return nil, nil, fmt.Errorf("no packages match %v", patterns)
 	}
-	deps, err := goList(dir, append([]string{"-deps", "--"}, patterns...)...)
+	hot, err := ScanHotpath(dir, patterns...)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	mod := &Module{Fset: token.NewFileSet(), Hotpath: make(map[string]bool)}
+	mod := &Module{Fset: token.NewFileSet(), Hotpath: make(map[string]bool, len(hot))}
 	for _, p := range targets {
 		if p.Module != nil {
 			mod.Path = p.Module.Path
 			break
 		}
 	}
-
-	// Fact pass: parse every in-module package in the dependency
-	// closure (the targets are part of -deps output) and record which
-	// declarations are annotated as hot paths. Parse-only — no type
-	// checking — so the sweep stays cheap.
-	factFset := token.NewFileSet()
-	for _, p := range deps {
-		if p.Standard {
-			continue
-		}
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(factFset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
-			if err != nil {
-				return nil, nil, fmt.Errorf("scanning %s: %w", filepath.Join(p.Dir, name), err)
-			}
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || !hasDirective(fd.Doc, "//urllangid:hotpath") {
-					continue
-				}
-				mod.Hotpath[funcKey(p.ImportPath, recvTypeName(fd), fd.Name.Name)] = true
-			}
-		}
+	for _, h := range hot {
+		mod.Hotpath[h.Key] = true
 	}
 
 	// Type-check the targets. The source importer shells out to the go
@@ -178,12 +196,8 @@ func Load(cfg Config, patterns ...string) (*Module, []*Package, error) {
 	imp := importer.ForCompiler(mod.Fset, "source", nil)
 	var out []*Package
 	for _, p := range targets {
-		names := p.GoFiles
-		if cfg.Tests {
-			names = append(append([]string{}, p.GoFiles...), p.TestGoFiles...)
-		}
-		files := make([]*ast.File, 0, len(names))
-		for _, name := range names {
+		files := make([]*ast.File, 0, len(p.GoFiles))
+		for _, name := range p.GoFiles {
 			f, err := parser.ParseFile(mod.Fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
 			if err != nil {
 				return nil, nil, fmt.Errorf("parsing %s: %w", filepath.Join(p.Dir, name), err)

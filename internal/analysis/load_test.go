@@ -30,7 +30,7 @@ func TestLoadFileSelection(t *testing.T) {
 	}
 
 	t.Run("default", func(t *testing.T) {
-		mod, pkgs, err := Load(Config{}, "./testdata/src/loader")
+		mod, pkgs, err := Load("", "./testdata/src/loader")
 		if err != nil {
 			t.Fatalf("Load: %v", err)
 		}
@@ -38,18 +38,6 @@ func TestLoadFileSelection(t *testing.T) {
 		want := []string{"loader.go"}
 		if len(got) != 1 || got[0] != want[0] {
 			t.Errorf("default file set = %v, want %v (no ignored files, no test files)", got, want)
-		}
-	})
-
-	t.Run("tests", func(t *testing.T) {
-		mod, pkgs, err := Load(Config{Tests: true}, "./testdata/src/loader")
-		if err != nil {
-			t.Fatalf("Load(Tests): %v", err)
-		}
-		got := loadedFileNames(mod, pkgs)
-		want := []string{"loader.go", "loader_test.go"}
-		if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-			t.Errorf("Tests file set = %v, want %v (in-package test files join; excluded and external-test files stay out)", got, want)
 		}
 	})
 }

@@ -15,10 +15,6 @@ func TestHotpathAlloc(t *testing.T) {
 	analysistest.Run(t, analysis.HotpathAlloc, "./testdata/src/hotpathalloc")
 }
 
-func TestAtomicField(t *testing.T) {
-	analysistest.Run(t, analysis.AtomicField, "./testdata/src/atomicfield")
-}
-
 func TestPinPair(t *testing.T) {
 	analysistest.Run(t, analysis.PinPair, "./testdata/src/pinpair")
 }
@@ -33,8 +29,4 @@ func TestModelFileIO(t *testing.T) {
 
 func TestLockOrder(t *testing.T) {
 	analysistest.Run(t, analysis.LockOrder, "./testdata/src/lockorder")
-}
-
-func TestGoroutineLeak(t *testing.T) {
-	analysistest.Run(t, analysis.GoroutineLeak, "./testdata/src/goroutineleak")
 }

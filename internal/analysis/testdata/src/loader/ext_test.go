@@ -2,5 +2,5 @@ package loader_test
 
 // An external test package (go list XTestGoFiles): a different
 // package, not extra files of the target — it must stay out of the
-// analyzed set even under Config{Tests: true}.
+// analyzed set.
 func externalHelper() int { return 0 }

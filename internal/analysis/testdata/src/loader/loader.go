@@ -1,5 +1,5 @@
 // Package loader is the corpus for the loader's file-selection
-// contract: exactly which files reach the analyzers under each Config.
+// contract: exactly which files reach the analyzers.
 package loader
 
 // Marker is defined once here. excluded.go redeclares it behind a

@@ -1,6 +1,5 @@
 package loader
 
-// An in-package test file (go list TestGoFiles): part of the analyzed
-// set only under Config{Tests: true}. Deliberately free of imports so
-// including it costs the type-checker nothing extra.
+// An in-package test file (go list TestGoFiles): the loader must leave
+// it out of the analyzed set.
 func inPackageTestHelper() int { return Marker() }

@@ -188,12 +188,6 @@ func baselineFor(a core.Algo) tldbase.Classifier {
 	return tldbase.CcTLD()
 }
 
-// Compiled reports whether the snapshot runs a packed native path. It
-// is always true — every trainable configuration compiles — and is kept
-// for callers written against the era when non-linear configurations
-// fell back to wrapping the original System.
-func (s *Snapshot) Compiled() bool { return true }
-
 // Describe returns the source configuration label, e.g. "NB/word".
 func (s *Snapshot) Describe() string { return s.cfg.Describe() }
 

@@ -121,9 +121,6 @@ func TestSnapshotBitIdentical(t *testing.T) {
 			t.Parallel()
 			sys := trainSystem(t, tc.cfg, train)
 			snap := FromSystem(sys)
-			if !snap.Compiled() {
-				t.Fatalf("%s did not compile", tc.cfg.Describe())
-			}
 			if snap.Mode() != tc.mode {
 				t.Fatalf("%s compiled to mode %q, want %q", tc.cfg.Describe(), snap.Mode(), tc.mode)
 			}

@@ -109,7 +109,7 @@ type version struct {
 // zero into a no-op, so the closer runs exactly once.
 func (v *version) release() {
 	if v.refs.Add(-1) == 0 && !v.closed.Swap(true) && v.close != nil {
-		v.close() //urllangid:ignore hotpathalloc unmaps a retired version's file backing exactly once, after the drain
+		v.close()
 	}
 }
 
@@ -223,7 +223,7 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// SlotStates implements serve.StateReporter: every slot's readiness,
+// SlotStates implements serve.Resolver: every slot's readiness,
 // lifetime swap count and live request pins, default first. A slot
 // whose current pointer is nil — mid-first-install, or retired by
 // Close — reports not ready, which is what turns the readiness probe
@@ -253,10 +253,6 @@ func (r *Registry) SlotStates() []serve.SlotState {
 	}
 	return out
 }
-
-// The registry reports slot lifecycle state to the readiness probe and
-// the metrics scrape.
-var _ serve.StateReporter = (*Registry)(nil)
 
 // LoadFile opens the model file at path — either kind, trained
 // classifiers are compiled on the way in — and installs it under name,

@@ -105,7 +105,9 @@ func appendJSONString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			enc, err := json.Marshal(s) //urllangid:ignore hotpathalloc escape fallback: URLs with quotes, control bytes or non-ASCII are not the serving common case
+			// The escape fallback: URLs with quotes, control bytes or
+			// non-ASCII are not the serving common case.
+			enc, err := json.Marshal(s)
 			if err != nil {
 				// A bare string only fails to marshal on invalid UTF-8,
 				// which encoding/json itself replaces; unreachable.

@@ -33,12 +33,6 @@ const streamChunk = 512
 type HandlerOptions struct {
 	// MaxBatch overrides DefaultMaxBatch.
 	MaxBatch int
-	// Metrics receives the HTTP tier's metric families (per-route
-	// request counters, duration histograms, in-flight). Optional: the
-	// handler creates a private registry when nil. Passing one in lets
-	// an embedding process publish its own families on the same
-	// /metrics page.
-	Metrics *obs.Registry
 	// SlowLog enables per-stage request tracing and sampled
 	// slow-request logging: requests slower than this threshold are
 	// counted per route and logged — at most about once per second —
@@ -76,14 +70,11 @@ func NewHandler(models Resolver, opts HandlerOptions) http.Handler {
 		models:   models,
 		maxBatch: opts.MaxBatch,
 		start:    time.Now(),
-		metrics:  opts.Metrics,
+		metrics:  obs.NewRegistry(),
 		slowLog:  opts.SlowLog,
 	}
 	if h.maxBatch <= 0 {
 		h.maxBatch = DefaultMaxBatch
-	}
-	if h.metrics == nil {
-		h.metrics = obs.NewRegistry()
 	}
 	out := opts.SlowLogOutput
 	if out == nil {
@@ -600,33 +591,18 @@ func (h *handler) modelStats(w http.ResponseWriter, r *http.Request) {
 // through a deploy is what keeps the orchestrator from killing the
 // process while it warms.
 func (h *handler) readyz(w http.ResponseWriter, _ *http.Request) {
-	if sr, ok := h.models.(StateReporter); ok {
-		states := sr.SlotStates()
-		ready := len(states) > 0
-		for _, st := range states {
-			if !st.Ready {
-				ready = false
-			}
+	states := h.models.SlotStates()
+	ready := len(states) > 0
+	for _, st := range states {
+		if !st.Ready {
+			ready = false
 		}
-		status, code := "ready", http.StatusOK
-		if !ready {
-			status, code = "unavailable", http.StatusServiceUnavailable
-		}
-		writeJSON(w, code, map[string]any{"status": status, "slots": states})
-		return
 	}
-	// Resolver without slot state: readiness is "can the default model
-	// be resolved".
-	_, _, release, err := h.models.Resolve("")
-	if err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status": "unavailable",
-			"error":  err.Error(),
-		})
-		return
+	status, code := "ready", http.StatusOK
+	if !ready {
+		status, code = "unavailable", http.StatusServiceUnavailable
 	}
-	release()
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
+	writeJSON(w, code, map[string]any{"status": status, "slots": states})
 }
 
 // metricsPage serves Prometheus text exposition: the process-lifetime
@@ -740,11 +716,7 @@ func (h *handler) exposeModels(x *obs.ExpoWriter) {
 			append(m.labels, obs.Label{Key: "tier", Value: "slow"}), st.SlowLatency())
 	}
 
-	sr, ok := h.models.(StateReporter)
-	if !ok {
-		return
-	}
-	states := sr.SlotStates()
+	states := h.models.SlotStates()
 	x.Family("urllangid_model_ready",
 		"1 when the slot can serve, 0 mid-install or retired.", obs.KindGauge)
 	for _, st := range states {

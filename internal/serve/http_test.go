@@ -703,6 +703,14 @@ func (m *multiResolver) Models() []ModelInfo {
 	return out
 }
 
+func (m *multiResolver) SlotStates() []SlotState {
+	var out []SlotState
+	for _, info := range m.Models() {
+		out = append(out, SlotState{Model: info, Ready: true, Swaps: info.Version})
+	}
+	return out
+}
+
 func (m *multiResolver) Reload(name string) (ModelInfo, bool, error) {
 	info, ok := m.infos[name]
 	if !ok {

@@ -64,6 +64,11 @@ type Resolver interface {
 	// swapping the new version in. It reports the resulting info and
 	// whether anything changed (an unchanged file digest is a no-op).
 	Reload(name string) (ModelInfo, bool, error)
+	// SlotStates lists every slot, default first: the lifecycle view
+	// behind GET /readyz and the per-slot metric families. Resolvers
+	// that cannot be mid-swap (Static) report trivially-ready slots;
+	// the registry reports real lifecycle state.
+	SlotStates() []SlotState
 }
 
 // SlotState is one serving slot's readiness and lifecycle view, shaped
@@ -83,15 +88,6 @@ type SlotState struct {
 	// Pins counts requests currently pinning the live version (leases
 	// held beyond the owner's own reference).
 	Pins int64 `json:"pins"`
-}
-
-// StateReporter is the optional Resolver extension behind GET /readyz
-// and the per-slot metric families. Resolvers that cannot be mid-swap
-// (Static) report trivially-ready slots; the registry reports real
-// lifecycle state.
-type StateReporter interface {
-	// SlotStates lists every slot, default first.
-	SlotStates() []SlotState
 }
 
 // releaseNothing is the shared no-op release for resolvers whose

@@ -9,6 +9,7 @@ package urllangid_test
 // internal test cannot see.
 
 import (
+	"slices"
 	"testing"
 
 	"urllangid"
@@ -24,8 +25,8 @@ func TestClassifyResultZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := clf.Compile()
-	if !snap.Compiled() {
-		t.Fatal("NB/word did not compile")
+	if !slices.Contains(nativeModes, snap.Mode()) {
+		t.Fatalf("NB/word compiled to mode %q, not a native form", snap.Mode())
 	}
 	urls := map[string]string{
 		"normalized": urlx.Normalize("http://www.nachrichten-wetter.de/zeitung/artikel7.html"),

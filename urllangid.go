@@ -506,12 +506,6 @@ func (s *Snapshot) Calibration() (CalibrationInfo, bool) {
 	}, true
 }
 
-// Compiled reports whether the snapshot runs a packed native path. It
-// is always true — every trainable configuration compiles — and remains
-// for callers written against releases where non-linear configurations
-// fell back to wrapping the original models.
-func (s *Snapshot) Compiled() bool { return s.snap.Compiled() }
-
 // Mode names the compiled form the snapshot took: "linear" (packed
 // token-linear models), "custom" (dense custom-feature linear models),
 // "dtree" (flattened decision trees), "knn" (packed reference sets) or

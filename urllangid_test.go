@@ -2,11 +2,16 @@ package urllangid_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"urllangid"
 	"urllangid/internal/datagen"
 )
+
+// nativeModes are the compiled forms Snapshot.Mode names. Every
+// configuration compiles to one of them; there is no fallback path.
+var nativeModes = []string{"linear", "custom", "dtree", "knn", "tld"}
 
 func trainSamples(t *testing.T, perLang int) []urllangid.Sample {
 	t.Helper()
@@ -96,8 +101,8 @@ func TestCompileSnapshotMatchesClassifier(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := clf.Compile()
-	if !snap.Compiled() {
-		t.Fatal("NB/word did not compile")
+	if !slices.Contains(nativeModes, snap.Mode()) {
+		t.Fatalf("NB/word compiled to mode %q, not a native form", snap.Mode())
 	}
 	if snap.Describe() != clf.Describe() {
 		t.Errorf("Describe %q vs %q", snap.Describe(), clf.Describe())
