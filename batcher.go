@@ -58,7 +58,9 @@ func WithCache(entries int) BatcherOption {
 
 // WithStats enables serving metrics (throughput, cache hit-rate,
 // latency percentiles), readable through Stats. Collection costs two
-// clock reads per URL, so it is off by default.
+// clock reads per call, Classify or ClassifyBatch, so it is off by
+// default. Each latency sample is one call's wall time, cache hits
+// included.
 func WithStats() BatcherOption {
 	return func(c *batcherConfig) { c.stats = true }
 }
@@ -140,7 +142,7 @@ func (b *Batcher) Stats() (BatcherStats, bool) {
 
 // WriteMetrics writes the batcher's serving metrics to w in Prometheus
 // text exposition format (version 0.0.4): URL throughput, cache
-// hits/misses, live cache occupancy and the scoring latency
+// hits/misses, live cache occupancy and the per-call latency
 // histogram. Embedders scrape it from their own /metrics
 // handler. Without WithStats the counter families still appear,
 // reading zero; the latency histogram needs WithStats and is omitted.
@@ -161,7 +163,7 @@ func (b *Batcher) WriteMetrics(w io.Writer) error {
 		"Live result-cache entries.", obs.KindGauge, int64(b.engine.CacheEntries()))
 	if h := st.Latency(); h != nil {
 		x.Family("urllangid_batcher_latency_seconds",
-			"Scoring latency of cache misses and uncached classifications.",
+			"Wall time of one Classify or ClassifyBatch call, cache hits included.",
 			obs.KindHistogram)
 		x.HistogramSample("urllangid_batcher_latency_seconds", nil, h)
 	}

@@ -42,24 +42,25 @@
 // re-scored by the slow tier (see the urllangid.Registry.InstallCascade
 // docs). Cascade tiers resolve by name per request, so reloading a tier
 // file retargets its cascades immediately, and /v1/models/{name}/stats
-// on a cascade reports escalation rate and per-tier latency. Redeploying a model is atomic and drops no
-// traffic: overwrite its file, then either POST its reload endpoint or
-// send the process SIGHUP to reload every model whose file changed —
-// in-flight requests finish on the old model while new ones route to
-// the new version.
+// on a cascade reports its escalation rate. Redeploying a model is
+// atomic and drops no traffic: overwrite its file, then either POST its
+// reload endpoint or send the process SIGHUP to reload every model
+// whose file changed — in-flight requests finish on the old model while
+// new ones route to the new version.
 //
 // Compiled snapshots cache results under the structural URL normal form
 // (urlx package doc): scheme, case and percent-encoding variants of one
-// URL share a single cache entry. /stats reports nearest-rank latency
-// percentiles and a recent-QPS figure over the last ten *complete*
-// seconds.
+// URL share a single cache entry. /stats reports latency percentiles,
+// read off a histogram with one sample per engine call (a request's
+// batch or a stream chunk, cache hits included), and a recent-QPS
+// figure over the last ten *complete* seconds.
 //
 // -slow-log DURATION enables per-stage request tracing: requests slower
 // than the threshold are counted in /metrics and logged (sampled to
-// about one line per second) with their normalize → cache-lookup →
-// score → respond breakdown. -debug-addr serves net/http/pprof and
-// expvar on a second listener, kept off the public address so profiling
-// endpoints are never exposed to traffic-facing networks.
+// about one line per second) with their engine → respond breakdown.
+// -debug-addr serves net/http/pprof and expvar on a second listener,
+// kept off the public address so profiling endpoints are never exposed
+// to traffic-facing networks.
 //
 // The process shuts down gracefully on SIGINT/SIGTERM, draining
 // in-flight requests before exiting.

@@ -600,8 +600,6 @@ func TestCascadeOverHTTP(t *testing.T) {
 	for _, want := range []string{
 		`urllangid_model_fast_served_total{model="casc"}`,
 		`urllangid_model_escalations_total{model="casc"}`,
-		`urllangid_model_tier_latency_seconds_count{model="casc",tier="fast"}`,
-		`urllangid_model_tier_latency_seconds_count{model="casc",tier="slow"}`,
 	} {
 		if !strings.Contains(metrics.String(), want) {
 			t.Errorf("/metrics missing %q", want)

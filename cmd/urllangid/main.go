@@ -1,5 +1,4 @@
-// Command urllangid trains, evaluates and serves URL language
-// classifiers.
+// Command urllangid trains and evaluates URL language classifiers.
 //
 // Subcommands:
 //
@@ -8,13 +7,12 @@
 //	compile   flatten a saved model into a serving snapshot
 //	classify  classify URLs from arguments or stdin
 //	eval      evaluate a saved model on a labeled TSV corpus
-//	serve     HTTP classification service (GET /classify?url=...)
 //	inspect   print a model file's container version, metadata and
 //	          (for flat v3 files) its section directory, without
 //	          decoding any model payload
 //
-// Model files are self-describing: classify, eval and serve open either
-// a trained model or a compiled snapshot (urllangid.Open picks the kind
+// Model files are self-describing: classify and eval open either a
+// trained model or a compiled snapshot (urllangid.Open picks the kind
 // from the header), so a serving snapshot can be evaluated directly.
 //
 // Example session:
@@ -24,10 +22,10 @@
 //	urllangid compile -model nb-words.model -out nb-words.snapshot
 //	urllangid classify -model nb-words.model http://www.wasserbett-test.com
 //	urllangid eval -model nb-words.model -in corpus-test.tsv
-//	urllangid serve -model nb-words.model -addr :8080
 //
-// For production serving use cmd/urllangid-serve, which loads a compiled
-// snapshot and adds batching, caching and streaming endpoints.
+// To serve a model over HTTP, use cmd/urllangid-serve, which loads
+// compiled snapshots and adds batching, caching and streaming
+// endpoints.
 package main
 
 import (
@@ -35,7 +33,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -64,8 +61,6 @@ func main() {
 		err = cmdClassify(os.Args[2:])
 	case "eval":
 		err = cmdEval(os.Args[2:])
-	case "serve":
-		err = cmdServe(os.Args[2:])
 	case "inspect":
 		err = cmdInspect(os.Args[2:])
 	case "-h", "--help", "help":
@@ -82,7 +77,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: urllangid <generate|train|compile|classify|eval|serve|inspect> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: urllangid <generate|train|compile|classify|eval|inspect> [flags]")
 }
 
 func cmdGenerate(args []string) error {
@@ -385,51 +380,6 @@ func cmdEval(args []string) error {
 	}
 	fmt.Printf("macro-F %.3f over %d URLs\n", sumF/float64(langid.NumLanguages), len(samples))
 	return nil
-}
-
-// classifyResponse is the JSON shape of the serve endpoint.
-type classifyResponse struct {
-	URL       string            `json:"url"`
-	Languages []string          `json:"languages"`
-	Scores    map[string]string `json:"scores"`
-}
-
-func cmdServe(args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	modelPath := fs.String("model", "urllangid.model", "model file")
-	addr := fs.String("addr", ":8080", "listen address")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	clf, err := loadModel(*modelPath)
-	if err != nil {
-		return err
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /classify", func(w http.ResponseWriter, r *http.Request) {
-		url := r.URL.Query().Get("url")
-		if url == "" {
-			http.Error(w, "missing url parameter", http.StatusBadRequest)
-			return
-		}
-		resp := classifyResponse{URL: url, Scores: make(map[string]string)}
-		for _, p := range clf.Classify(url).Predictions() {
-			if p.Positive {
-				resp.Languages = append(resp.Languages, p.Lang.Code())
-			}
-			resp.Scores[p.Lang.Code()] = fmt.Sprintf("%+.3f", p.Score)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(resp); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	fmt.Printf("serving %s on %s\n", clf.Describe(), *addr)
-	server := &http.Server{Addr: *addr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	return server.ListenAndServe()
 }
 
 // inspectOut is the -json shape of cmdInspect: the modelfile report

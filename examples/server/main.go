@@ -179,7 +179,7 @@ func main() {
 		log.Fatal(err)
 	}
 	resp.Body.Close()
-	fmt.Printf("\nGET /stats: model %s v%d, %d URLs served, cache hit-rate %.0f%% (%d hits / %d misses), p50 %.0fµs\n",
+	fmt.Printf("\nGET /stats: model %s v%d, %d URLs served, cache hit-rate %.0f%% (%d hits / %d misses), p50 per engine call %.0fµs\n",
 		stats.Name, stats.Version, stats.URLs, 100*stats.CacheHitRate, stats.CacheHits, stats.CacheMisses, stats.LatencyP50Usec)
 
 	// 4. The paper's deployment loop: retrain (here: a different seed

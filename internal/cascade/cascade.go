@@ -30,7 +30,6 @@ package cascade
 
 import (
 	"math"
-	"time"
 
 	"urllangid/internal/calib"
 	"urllangid/internal/langid"
@@ -92,15 +91,14 @@ type Config struct {
 	Confusable [][2]langid.Language
 }
 
-// Stats counts the cascade's routing decisions and per-tier scoring
-// latency. All recorders are wait-free and allocation-free (see
-// internal/obs); histograms record nanoseconds.
+// Stats counts the cascade's routing decisions, its health signal. The
+// counters are wait-free and allocation-free (see internal/obs); the
+// cascade reads no clock, since its engine times each call and the
+// benchmark times each tier.
 type Stats struct {
 	fast        obs.Counter // answered by the fast tier alone
 	escalations obs.Counter // slow tier consulted
 	tierErrors  obs.Counter // a tier failed to pin
-	fastLatency obs.Histogram
-	slowLatency obs.Histogram
 }
 
 // FastServed returns the number of URLs the fast tier answered alone.
@@ -123,11 +121,6 @@ func (s *Stats) EscalationRate() float64 {
 	return float64(esc) / float64(total)
 }
 
-// FastLatency and SlowLatency expose the per-tier scoring histograms
-// for metric exposition.
-func (s *Stats) FastLatency() *obs.Histogram { return &s.fastLatency }
-func (s *Stats) SlowLatency() *obs.Histogram { return &s.slowLatency }
-
 // TierSnapshot is the JSON shape of one cascade's routing stats, as
 // embedded in /stats responses.
 type TierSnapshot struct {
@@ -135,10 +128,6 @@ type TierSnapshot struct {
 	Escalations    int64   `json:"escalations"`
 	TierErrors     int64   `json:"tier_errors,omitempty"`
 	EscalationRate float64 `json:"escalation_rate"`
-	FastP50Usec    float64 `json:"fast_p50_us"`
-	FastP99Usec    float64 `json:"fast_p99_us"`
-	SlowP50Usec    float64 `json:"slow_p50_us"`
-	SlowP99Usec    float64 `json:"slow_p99_us"`
 }
 
 // Snapshot captures the current stats. Concurrent-safe; counters are
@@ -149,10 +138,6 @@ func (s *Stats) Snapshot() TierSnapshot {
 		Escalations:    s.escalations.Value(),
 		TierErrors:     s.tierErrors.Value(),
 		EscalationRate: s.EscalationRate(),
-		FastP50Usec:    s.fastLatency.Quantile(0.50) / 1e3,
-		FastP99Usec:    s.fastLatency.Quantile(0.99) / 1e3,
-		SlowP50Usec:    s.slowLatency.Quantile(0.50) / 1e3,
-		SlowP99Usec:    s.slowLatency.Quantile(0.99) / 1e3,
 	}
 }
 
@@ -187,8 +172,6 @@ func New(tiers TierProvider, cfg Config) *Cascade {
 			c.confusable[p[1]] = c.confusable[p[1]].Add(p[0])
 		}
 	}
-	c.stats.fastLatency.Scale = 1e-9
-	c.stats.slowLatency.Scale = 1e-9
 	return c
 }
 
@@ -224,9 +207,7 @@ func (c *Cascade) ScoresInto(out *[langid.NumLanguages]float64, rawURL string) {
 		*out = errScores
 		return
 	}
-	t0 := time.Now()
 	*out = fast.Scores(rawURL)
-	c.stats.fastLatency.Observe(int64(time.Since(t0)))
 	if !c.shouldEscalate(fast, out) {
 		c.stats.fast.Inc()
 		frel()
@@ -241,9 +222,7 @@ func (c *Cascade) ScoresInto(out *[langid.NumLanguages]float64, rawURL string) {
 		frel()
 		return
 	}
-	t0 = time.Now()
 	*out = slow.Scores(rawURL)
-	c.stats.slowLatency.Observe(int64(time.Since(t0)))
 	c.stats.escalations.Inc()
 	srel()
 	frel()

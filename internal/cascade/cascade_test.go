@@ -230,9 +230,6 @@ func TestSnapshotShape(t *testing.T) {
 	if snap.FastServed != 8 || snap.Escalations != 0 || snap.EscalationRate != 0 {
 		t.Fatalf("snapshot %+v, want 8 fast-served", snap)
 	}
-	if snap.FastP50Usec < 0 {
-		t.Fatalf("negative fast p50 %v", snap.FastP50Usec)
-	}
 }
 
 func TestConfusableSymmetry(t *testing.T) {

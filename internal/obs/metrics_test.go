@@ -93,7 +93,7 @@ func TestRecordZeroAlloc(t *testing.T) {
 		g.Add(1)
 		g.Add(-1)
 		h.Observe(48211)
-		tr.Add(StageScore, 1234)
+		tr.Add(StageEngine, 1234)
 	}); avg > 0 {
 		t.Errorf("record path allocates %.2f/op, want 0", avg)
 	}

@@ -4,12 +4,12 @@
 // trace.
 //
 // The design splits recording from exposition. Recording — Counter.Add,
-// Gauge.Set, Histogram.Observe, Trace.Add — sits on the classify hot
-// path and is a handful of atomic operations: no locks, no clock reads,
-// and zero heap allocations (pinned by test). Exposition — the Registry
-// walk and ExpoWriter — runs once per scrape and may allocate freely;
-// percentiles are cumulative reads over fixed histogram buckets, so a
-// scrape never sorts a sample ring the way the old serve.Stats did.
+// Gauge.Set, Histogram.Observe — is a handful of atomic operations: no
+// locks, no clock reads, and zero heap allocations (pinned by test).
+// Trace.Add is a plain add, since only a request's handler goroutine
+// writes its trace. Exposition — the Registry walk and ExpoWriter —
+// runs once per scrape and may allocate freely; percentiles are
+// cumulative reads over fixed histogram buckets.
 //
 // Metric values here carry no labels of their own. A labelled family is
 // a set of value handles keyed by label set — either pre-created through

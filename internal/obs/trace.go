@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
@@ -12,19 +11,15 @@ import (
 type Stage uint8
 
 const (
-	// StageNormalize is URL normal-form derivation (the cache key).
-	StageNormalize Stage = iota
-	// StageCacheLookup is the result-cache probe.
-	StageCacheLookup
-	// StageScore is model scoring (cache misses only).
-	StageScore
+	// StageEngine is the time in the engine's batch calls.
+	StageEngine Stage = iota
 	// StageRespond is response serialization and writing.
 	StageRespond
 	// NumStages bounds the stage set.
 	NumStages
 )
 
-var stageNames = [NumStages]string{"normalize", "cache_lookup", "score", "respond"}
+var stageNames = [NumStages]string{"engine", "respond"}
 
 func (s Stage) String() string {
 	if int(s) < len(stageNames) {
@@ -33,14 +28,13 @@ func (s Stage) String() string {
 	return fmt.Sprintf("stage(%d)", int(s))
 }
 
-// Trace accumulates wall time per pipeline stage for one request. A
-// batch request shares one Trace across its worker goroutines — Add is
-// an atomic accumulate, so the per-stage figures are the summed time
-// across the batch's URLs. The zero Trace is ready to use; a nil *Trace
-// disables collection, so the engine threads it unconditionally and
-// pays nothing when tracing is off.
+// Trace accumulates wall time per pipeline stage for one request. Only
+// the request's handler goroutine writes it, around the calls it makes,
+// so a stream's stages sum over its chunks. The zero Trace is ready to
+// use; a nil *Trace disables collection, so a handler threads it
+// unconditionally and pays nothing when tracing is off.
 type Trace struct {
-	ns [NumStages]atomic.Int64
+	d [NumStages]time.Duration
 }
 
 // Add accumulates d into stage s. Nil-safe.
@@ -48,7 +42,7 @@ type Trace struct {
 //urllangid:hotpath
 func (t *Trace) Add(s Stage, d time.Duration) {
 	if t != nil {
-		t.ns[s].Add(int64(d))
+		t.d[s] += d
 	}
 }
 
@@ -57,11 +51,11 @@ func (t *Trace) Stage(s Stage) time.Duration {
 	if t == nil {
 		return 0
 	}
-	return time.Duration(t.ns[s].Load())
+	return t.d[s]
 }
 
 // String renders the per-stage breakdown for a slow-request log line,
-// e.g. "normalize=12µs cache_lookup=3µs score=480µs respond=22µs".
+// e.g. "engine=480µs respond=22µs".
 func (t *Trace) String() string {
 	if t == nil {
 		return ""
@@ -71,16 +65,15 @@ func (t *Trace) String() string {
 		if s > 0 {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(&b, "%s=%s", s, time.Duration(t.ns[s].Load()))
+		fmt.Fprintf(&b, "%s=%s", s, t.d[s])
 	}
 	return b.String()
 }
 
 type traceCtxKey struct{}
 
-// ContextWithTrace attaches t to ctx so HTTP handlers can hand the
-// request's trace to the engine without changing every signature in
-// between.
+// ContextWithTrace attaches t to ctx so the route wrapper that reports
+// a request's trace can hand it to the handler that fills it in.
 func ContextWithTrace(ctx context.Context, t *Trace) context.Context {
 	return context.WithValue(ctx, traceCtxKey{}, t)
 }

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"urllangid/internal/langid"
-	"urllangid/internal/obs"
 )
 
 // Predictor is the scoring contract the engine serves. Compiled
@@ -55,7 +54,9 @@ type Options struct {
 	// 0 disables caching.
 	CacheCapacity int
 	// NoStats disables metrics collection entirely — no clock reads on
-	// the classify path. StatsSnapshot then reports zeroes.
+	// the classify path. StatsSnapshot then reports zeroes. With stats,
+	// each call costs two clock reads and one Stats record, whatever
+	// its URL count.
 	NoStats bool
 }
 
@@ -135,62 +136,36 @@ func (e *Engine) CacheEntries() int {
 
 // Classify classifies one URL, consulting and populating the cache.
 // It never fails: malformed URLs tokenize to nothing and score like any
-// other token-free input.
+// other token-free input. It is a batch of one: its stats record is one
+// call of one URL.
 //
 //urllangid:hotpath
 func (e *Engine) Classify(rawURL string) Result {
-	return e.classify(rawURL, nil)
-}
-
-// classify is Classify with per-stage span collection: normalize,
-// cache-lookup and score wall time accumulate into tr. A nil tr skips
-// every extra clock read.
-func (e *Engine) classify(rawURL string, tr *obs.Trace) Result {
 	var start time.Time
 	if e.stats != nil {
 		start = time.Now()
 	}
-	var t0 time.Time
+	out := [1]Result{e.classify(rawURL)}
+	e.record(start, out[:])
+	return out[0]
+}
+
+// classify scores one URL through the cache. It reads no clock and
+// records nothing: the call it belongs to accounts for it.
+func (e *Engine) classify(rawURL string) Result {
 	r := Result{URL: rawURL}
 	if e.cache == nil {
-		if tr != nil {
-			t0 = time.Now()
-		}
 		r.Result = langid.NewResult(e.pred.Scores(rawURL))
-		if tr != nil {
-			tr.Add(obs.StageScore, time.Since(t0))
-		}
-		if e.stats != nil {
-			e.stats.RecordUncached(time.Since(start))
-		}
 		return r
 	}
 	key := rawURL
 	if e.keyScorer != nil {
-		if tr != nil {
-			t0 = time.Now()
-		}
 		key = e.keyScorer.CacheKey(rawURL)
-		if tr != nil {
-			tr.Add(obs.StageNormalize, time.Since(t0))
-		}
-	}
-	if tr != nil {
-		t0 = time.Now()
 	}
 	scores, ok := e.cache.get(key)
-	if tr != nil {
-		tr.Add(obs.StageCacheLookup, time.Since(t0))
-	}
 	if ok {
 		r.Result, r.Cached = langid.NewResult(scores), true
-		if e.stats != nil {
-			e.stats.RecordURL(time.Since(start), true)
-		}
 		return r
-	}
-	if tr != nil {
-		t0 = time.Now()
 	}
 	if e.keyScorer != nil {
 		// The key already carries the predictor's normal form; score
@@ -199,15 +174,25 @@ func (e *Engine) classify(rawURL string, tr *obs.Trace) Result {
 	} else {
 		scores = e.pred.Scores(rawURL)
 	}
-	if tr != nil {
-		tr.Add(obs.StageScore, time.Since(t0))
-	}
 	r.Result = langid.NewResult(scores)
 	e.cache.put(key, scores)
-	if e.stats != nil {
-		e.stats.RecordURL(time.Since(start), false)
-	}
 	return r
+}
+
+// record makes the one stats record of a call that began at start and
+// answered out. An empty call records nothing, so every latency sample
+// timed some URLs.
+func (e *Engine) record(start time.Time, out []Result) {
+	if e.stats == nil || len(out) == 0 {
+		return
+	}
+	hits := 0
+	for i := range out {
+		if out[i].Cached {
+			hits++
+		}
+	}
+	e.stats.RecordBatch(start, len(out), hits, e.cache != nil)
 }
 
 // ClassifyBatch classifies urls, preserving input order in the result
@@ -217,21 +202,19 @@ func (e *Engine) classify(rawURL string, tr *obs.Trace) Result {
 // path) never stalls a pre-assigned chunk. Helpers start only while the
 // engine's helper budget has room, so concurrent batches share
 // Workers-1 helpers and a busy engine only costs parallelism: the
-// caller always works its own batch to completion.
+// caller always works its own batch to completion. The batch is one
+// stats record, made after its last URL.
 func (e *Engine) ClassifyBatch(urls []string) []Result {
-	return e.ClassifyBatchTrace(urls, nil)
-}
-
-// ClassifyBatchTrace is ClassifyBatch with per-stage span collection:
-// every URL's normalize, cache-lookup and score time accumulates into
-// tr (concurrently — Trace adds are atomic), so a slow batch reports
-// where its wall time actually went. A nil tr adds no clock reads.
-func (e *Engine) ClassifyBatchTrace(urls []string, tr *obs.Trace) []Result {
+	var start time.Time
+	if e.stats != nil {
+		start = time.Now()
+	}
 	out := make([]Result, len(urls))
 	if min(e.workers, len(urls)) <= 1 {
 		for i, u := range urls {
-			out[i] = e.classify(u, tr)
+			out[i] = e.classify(u)
 		}
+		e.record(start, out)
 		return out
 	}
 	var next atomic.Int64
@@ -241,7 +224,7 @@ func (e *Engine) ClassifyBatchTrace(urls []string, tr *obs.Trace) []Result {
 			if i >= len(urls) {
 				return
 			}
-			out[i] = e.classify(urls[i], tr)
+			out[i] = e.classify(urls[i])
 		}
 	}
 	var done sync.WaitGroup
@@ -261,5 +244,6 @@ spawn:
 	}
 	run()
 	done.Wait()
+	e.record(start, out)
 	return out
 }

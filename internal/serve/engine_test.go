@@ -417,6 +417,43 @@ func TestEngineConcurrentBatchesSharePool(t *testing.T) {
 	}
 }
 
+// TestEngineAccountsPerCall pins the stats contract: an engine call —
+// a batch of any size, or one Classify — is one latency sample and one
+// add of its URL count, and only a cached engine counts lookups.
+func TestEngineAccountsPerCall(t *testing.T) {
+	urls := make([]string, 64)
+	for i := range urls {
+		urls[i] = fmt.Sprintf("http://seite%d.de/", i%16) // each URL four times
+	}
+	for _, tc := range []struct {
+		name  string
+		cache int
+	}{{"cache", 64}, {"no cache", 0}} {
+		e := New(&countingPredictor{}, Options{Workers: 4, CacheCapacity: tc.cache})
+		st := e.Stats()
+		check := func(call string, samples, n int64) {
+			t.Helper()
+			if got := st.Latency().Count(); got != samples {
+				t.Errorf("%s: after %s, %d latency samples, want %d", tc.name, call, got, samples)
+			}
+			if got := st.URLs(); got != n {
+				t.Errorf("%s: after %s, URLs = %d, want %d", tc.name, call, got, n)
+			}
+			lookups := n
+			if tc.cache == 0 {
+				lookups = 0
+			}
+			if got := st.CacheHits() + st.CacheMisses(); got != lookups {
+				t.Errorf("%s: after %s, hits+misses = %d, want %d", tc.name, call, got, lookups)
+			}
+		}
+		e.ClassifyBatch(urls)
+		check("a 64-URL batch", 1, 64)
+		e.Classify(urls[0])
+		check("one Classify", 2, 65)
+	}
+}
+
 // TestEngineNoStats: with stats disabled the engine must classify
 // normally and report a zero snapshot rather than panicking.
 func TestEngineNoStats(t *testing.T) {

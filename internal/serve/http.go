@@ -36,8 +36,10 @@ type HandlerOptions struct {
 	// SlowLog enables per-stage request tracing and sampled
 	// slow-request logging: requests slower than this threshold are
 	// counted per route and logged — at most about once per second —
-	// with their normalize/cache-lookup/score/respond breakdown. 0
-	// disables tracing entirely (no extra clock reads per request).
+	// with their engine/respond breakdown. engine is the time in the
+	// engine's batch calls, respond the time encoding and writing
+	// their results; a stream sums both over its chunks. 0 disables
+	// tracing entirely (no extra clock reads per request).
 	SlowLog time.Duration
 	// SlowLogOutput receives slow-request log lines (default
 	// os.Stderr).
@@ -310,10 +312,15 @@ func (h *handler) classify(w http.ResponseWriter, r *http.Request) {
 	st.IncInFlight()
 	defer st.DecInFlight()
 	tr := obs.TraceFrom(r.Context())
-	results := engine.ClassifyBatchTrace(urls, tr)
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
+	}
+	results := engine.ClassifyBatch(urls)
+	if tr != nil {
+		t1 := time.Now()
+		tr.Add(obs.StageEngine, t1.Sub(t0))
+		t0 = t1
 	}
 	// The response is encoded by hand into a pooled buffer —
 	// byte-identical to writeJSON of a classifyResponse, without the
@@ -395,10 +402,15 @@ func (h *handler) streamLines(w http.ResponseWriter, r *http.Request) {
 		if len(chunk) == 0 {
 			return true
 		}
-		results := engine.ClassifyBatchTrace(chunk, tr)
 		var t0 time.Time
 		if tr != nil {
 			t0 = time.Now()
+		}
+		results := engine.ClassifyBatch(chunk)
+		if tr != nil {
+			t1 := time.Now()
+			tr.Add(obs.StageEngine, t1.Sub(t0))
+			t0 = t1
 		}
 		// One pooled buffer per chunk, one Write per chunk: the NDJSON
 		// lines are encoded by hand (byte-identical to enc.Encode of
@@ -678,7 +690,7 @@ func (h *handler) exposeModels(x *obs.ExpoWriter) {
 		x.IntSample("urllangid_model_cache_entries", m.labels, int64(m.engine.CacheEntries()))
 	}
 	x.Family("urllangid_model_latency_seconds",
-		"Scoring latency of cache misses and uncached classifications.", obs.KindHistogram)
+		"Wall time of one engine call (a request's batch or a stream chunk), cache hits included.", obs.KindHistogram)
 	for _, m := range scr {
 		if hist := m.stats.Latency(); hist != nil {
 			x.HistogramSample("urllangid_model_latency_seconds", m.labels, hist)
@@ -687,7 +699,7 @@ func (h *handler) exposeModels(x *obs.ExpoWriter) {
 
 	// Cascade tier families: emitted only for models whose predictor
 	// carries tier stats. Empty families are valid exposition, so a
-	// registry without cascades just scrapes three headers.
+	// registry without cascades just scrapes two headers.
 	x.Family("urllangid_model_fast_served_total",
 		"Cascade classifications answered by the fast tier alone.", obs.KindCounter)
 	for _, m := range scr {
@@ -701,19 +713,6 @@ func (h *handler) exposeModels(x *obs.ExpoWriter) {
 		if ts, ok := m.engine.Predictor().(tierStatser); ok {
 			x.IntSample("urllangid_model_escalations_total", m.labels, ts.TierStats().Escalations())
 		}
-	}
-	x.Family("urllangid_model_tier_latency_seconds",
-		"Per-tier scoring latency of cascade classifications.", obs.KindHistogram)
-	for _, m := range scr {
-		ts, ok := m.engine.Predictor().(tierStatser)
-		if !ok {
-			continue
-		}
-		st := ts.TierStats()
-		x.HistogramSample("urllangid_model_tier_latency_seconds",
-			append(m.labels, obs.Label{Key: "tier", Value: "fast"}), st.FastLatency())
-		x.HistogramSample("urllangid_model_tier_latency_seconds",
-			append(m.labels, obs.Label{Key: "tier", Value: "slow"}), st.SlowLatency())
 	}
 
 	states := h.models.SlotStates()

@@ -63,7 +63,9 @@ func TestHTTPMetricsExposition(t *testing.T) {
 		`urllangid_model_cache_entries{model="default"} 1`,
 		`urllangid_model_in_flight{model="default"} 0`,
 		"# TYPE urllangid_model_latency_seconds histogram",
-		`urllangid_model_latency_seconds_count{model="default"} 1`,
+		// One sample per engine call: two single-URL requests, the
+		// second a cache hit, are two.
+		`urllangid_model_latency_seconds_count{model="default"} 2`,
 		`urllangid_model_ready{model="default"} 1`,
 		`urllangid_model_swaps_total{model="default"} 1`,
 	} {
@@ -193,7 +195,7 @@ func TestHTTPSlowLog(t *testing.T) {
 	if !strings.Contains(line, "slow request: POST /v1/classify") {
 		t.Errorf("slow log = %q, want a POST /v1/classify line", line)
 	}
-	for _, stage := range []string{"normalize=", "cache_lookup=", "score=", "respond="} {
+	for _, stage := range []string{"engine=", "respond="} {
 		if !strings.Contains(line, stage) {
 			t.Errorf("slow log %q missing stage %s", line, stage)
 		}

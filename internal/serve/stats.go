@@ -15,12 +15,12 @@ const recentWindow = 10 * time.Second
 const secBuckets = 16
 
 // Stats aggregates one engine's serving metrics on obs primitives —
-// atomic counters plus a log-linear latency histogram. Recording on the
-// hot path never takes a lock and never allocates; percentile reads are
-// cumulative walks over fixed histogram buckets, so a scrape no longer
-// copies and sorts a sample ring (the old design's 4096-float sort per
-// /stats hit — measurable at production scrape rates — is gone, pinned
-// by BenchmarkTakeSnapshot's 0 allocs/op).
+// atomic counters plus a log-linear latency histogram. The engine
+// records once per call, not once per URL: one latency sample of the
+// call's wall time, cache hits included, and one add to each counter.
+// Recording never takes a lock and never allocates; percentile reads
+// are cumulative walks over fixed histogram buckets, so a scrape
+// allocates nothing either (BenchmarkTakeSnapshot).
 type Stats struct {
 	start    time.Time
 	requests obs.Counter // serving requests (classify + stream) routed to this model
@@ -65,42 +65,33 @@ func (s *Stats) DecInFlight() {
 	}
 }
 
-// RecordURL counts one classified URL on a cache-enabled engine. Cache
-// hits contribute to the hit-rate but not to the latency histogram — a
-// hit's latency says nothing about scoring cost.
-func (s *Stats) RecordURL(d time.Duration, cached bool) {
+// RecordBatch records one engine call that began at start and
+// classified urls URLs, hits of them from the cache: one latency sample
+// of the call's wall time and one add to each counter. A cache-less
+// engine passes cached false and moves neither the hit nor the miss
+// counter, so /stats reads "caching disabled" rather than "0%
+// hit-rate". The clock read that ends the sample also picks the QPS
+// bucket.
+//
+//urllangid:hotpath
+func (s *Stats) RecordBatch(start time.Time, urls, hits int, cached bool) {
 	if s == nil {
 		return
 	}
-	s.countURL()
+	now := time.Now()
+	s.latency.Observe(int64(now.Sub(start)))
+	s.urls.Add(int64(urls))
 	if cached {
-		s.hits.Inc()
-		return
+		s.hits.Add(int64(hits))
+		s.misses.Add(int64(urls - hits))
 	}
-	s.misses.Inc()
-	s.latency.Observe(int64(d))
-}
-
-// RecordUncached counts one classified URL on a cache-less engine:
-// throughput and latency are tracked, but neither hit nor miss counters
-// move, so /stats reads "caching disabled" rather than "0% hit-rate".
-func (s *Stats) RecordUncached(d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.countURL()
-	s.latency.Observe(int64(d))
-}
-
-func (s *Stats) countURL() {
-	s.urls.Inc()
-	sec := time.Now().Unix()
+	sec := now.Unix()
 	b := int(sec % secBuckets)
 	if s.bucketSec[b].Load() != sec {
 		s.bucketSec[b].Store(sec)
 		s.bucketCount[b].Store(0)
 	}
-	s.bucketCount[b].Add(1)
+	s.bucketCount[b].Add(int64(urls))
 }
 
 // Raw metric accessors for the Prometheus exposition layer, which
@@ -148,8 +139,8 @@ func (s *Stats) InFlight() int64 {
 	return s.inFlight.Value()
 }
 
-// Latency returns the live scoring-latency histogram (nanosecond
-// samples, exposed scale seconds). Nil on a nil Stats.
+// Latency returns the live latency histogram: one nanosecond sample
+// per engine call (exposed scale seconds). Nil on a nil Stats.
 func (s *Stats) Latency() *obs.Histogram {
 	if s == nil {
 		return nil
@@ -170,10 +161,13 @@ type Snapshot struct {
 	// answered — hits over URLs, where CacheHitRate is hits over cache
 	// lookups only. On a cache-less engine it stays 0 while CacheHitRate
 	// reads "no lookups".
-	CacheHitRatio  float64 `json:"cache_hit_ratio"`
-	CacheEntries   int     `json:"cache_entries"`
-	QPSLifetime    float64 `json:"qps_lifetime"`
-	QPSRecent      float64 `json:"qps_recent"`
+	CacheHitRatio float64 `json:"cache_hit_ratio"`
+	CacheEntries  int     `json:"cache_entries"`
+	QPSLifetime   float64 `json:"qps_lifetime"`
+	QPSRecent     float64 `json:"qps_recent"`
+	// The latency percentiles read one sample per engine call: a
+	// request's batch, a stream's chunk or one Classify, from its
+	// first URL to its last, cache hits included.
 	LatencyP50Usec float64 `json:"latency_p50_us"`
 	LatencyP90Usec float64 `json:"latency_p90_us"`
 	LatencyP99Usec float64 `json:"latency_p99_us"`

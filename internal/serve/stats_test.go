@@ -5,18 +5,18 @@ import (
 	"time"
 )
 
-// TestLatencyPercentiles drives known durations through the histogram
-// path: percentiles must come back monotone and within the log-linear
-// bucketing's ~1% relative error.
+// TestLatencyPercentiles drives known durations into the latency
+// histogram: the snapshot's percentiles must come back monotone and
+// within the log-linear bucketing's ~1% relative error.
 func TestLatencyPercentiles(t *testing.T) {
 	s := NewStats()
 	// 90 fast (10µs) and 10 slow (5ms) samples, the cascade shape that
 	// makes p50 vs p99 worth separating.
 	for i := 0; i < 90; i++ {
-		s.RecordUncached(10 * time.Microsecond)
+		s.latency.Observe(int64(10 * time.Microsecond))
 	}
 	for i := 0; i < 10; i++ {
-		s.RecordUncached(5 * time.Millisecond)
+		s.latency.Observe(int64(5 * time.Millisecond))
 	}
 	snap := s.TakeSnapshot(0)
 	within := func(got, want float64) bool {
@@ -35,22 +35,19 @@ func TestLatencyPercentiles(t *testing.T) {
 	if !within(snap.LatencyP99Usec, 5000) {
 		t.Errorf("p99 = %vµs, want ≈5000µs", snap.LatencyP99Usec)
 	}
-	if snap.URLs != 100 {
-		t.Errorf("URLs = %d, want 100", snap.URLs)
-	}
 }
 
 // TestTakeSnapshotZeroAlloc pins the scrape cost: deriving a full
 // snapshot — counters, ratios, recent QPS, three percentiles — must not
-// touch the heap. The old implementation allocated a 4096-float slice
-// and sorted it on every scrape.
+// touch the heap.
 func TestTakeSnapshotZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed under the race detector")
 	}
 	s := NewStats()
+	now := time.Now()
 	for i := 0; i < 5000; i++ {
-		s.RecordURL(time.Duration(i)*time.Microsecond, i%3 == 0)
+		s.RecordBatch(now.Add(-time.Duration(i)*time.Microsecond), 64, i%65, true)
 	}
 	var sink Snapshot
 	if avg := testing.AllocsPerRun(100, func() {
@@ -65,8 +62,9 @@ func TestTakeSnapshotZeroAlloc(t *testing.T) {
 // run with -benchmem to see 0 allocs/op.
 func BenchmarkTakeSnapshot(b *testing.B) {
 	s := NewStats()
+	now := time.Now()
 	for i := 0; i < 100000; i++ {
-		s.RecordURL(time.Duration(i%10000)*time.Microsecond, i%2 == 0)
+		s.RecordBatch(now.Add(-time.Duration(i%10000)*time.Microsecond), 64, i%65, true)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -77,13 +75,14 @@ func BenchmarkTakeSnapshot(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkRecordURL measures the hot-path recording cost: a clock
-// read, a histogram observe and a few atomic adds — 0 allocs/op.
-func BenchmarkRecordURL(b *testing.B) {
+// BenchmarkRecordBatch measures the once-per-call recording cost: a
+// clock read, a histogram observe and a few atomic adds — 0 allocs/op.
+func BenchmarkRecordBatch(b *testing.B) {
 	s := NewStats()
+	start := time.Now()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.RecordURL(17*time.Microsecond, i%2 == 0)
+		s.RecordBatch(start, 64, i%65, true)
 	}
 }
 
