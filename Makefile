@@ -1,9 +1,9 @@
 # Tier-1 verification gate: make verify must pass before any change
 # lands. It enforces formatting and vet cleanliness in addition to the
 # build and test suite, runs the concurrency-sensitive packages under
-# the race detector, and smoke-fuzzes the urlx invariants, so style,
-# vet, race and normalization regressions fail loudly instead of
-# accumulating.
+# the race detector, and smoke-fuzzes every fuzz target (fuzz-smoke
+# below), so style, vet, race and parser regressions fail loudly
+# instead of accumulating.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -74,9 +74,11 @@ staticcheck:
 # The project-invariant analyzer suite (hotpathalloc, pinpair,
 # metriclabel, modelfileio, lockorder) built from this repo — no tool
 # fetch, no network: `go run` compiles cmd/urllangid-lint from the
-# checkout and checks every package. Typed atomics are left to vet's
-# copylocks check. See DESIGN.md "Enforced invariants" for what each
-# analyzer guarantees.
+# checkout and checks every package. Each analyzer works on the syntax
+# tree alone. Typed atomics are left to vet's copylocks check, and
+# releases handed out as a func() to the root package's
+# TestNoPinOutlivesItsCall. See DESIGN.md "Enforced invariants" for
+# what each analyzer guarantees and which check catches which fault.
 lint:
 	$(GO) run ./cmd/urllangid-lint ./...
 

@@ -1,16 +1,16 @@
 // Package analysis is the project-invariant analyzer suite behind
 // cmd/urllangid-lint: five custom static analyzers that machine-check
 // contracts the test suite only pins at single points — the zero-
-// allocation classify hot path, the path-sensitive Acquire/Release
-// lease pairing, the metric label-cardinality rules, the modelfile
-// truncation guards, and the module-wide mutex acquisition order (and
-// the no-blocking-under-lock rule). Typed atomics need no analyzer of
+// allocation classify hot path, the one release shape for a registry
+// lease, the metric label-cardinality rules, the modelfile truncation
+// guards, and the module-wide mutex acquisition order (and the
+// no-blocking-under-lock rule). Typed atomics need no analyzer of
 // their own: go vet's copylocks check flags every copy of one.
 //
-// Since PR 8 the suite is dataflow-aware: internal/analysis/cfg lowers
-// function bodies to basic-block control-flow graphs with a
-// forward/backward fixpoint framework, and the path-sensitive checkers
-// (pinpair, lockorder) reason per execution path instead of per scope.
+// Every analyzer works on the syntax tree. lockorder's must-analysis
+// walks each function body in source order, meeting branches and
+// iterating loops to a fixpoint as it goes; pinpair needs no paths at
+// all, because it accepts only a shape that releases on every one.
 //
 // The suite is deliberately self-contained: analyzers are written
 // against a small mirror of the golang.org/x/tools/go/analysis shape

@@ -6,8 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-
-	"urllangid/internal/analysis/cfg"
+	"strings"
 )
 
 // LockOrder checks the module's mutex discipline two ways.
@@ -33,12 +32,16 @@ import (
 // the serve layer's non-blocking recruitment (select with a default
 // arm under RLock) is the allowed shape and passes.
 //
-// Held-ness is a forward must-analysis over the CFG: a lock counts as
+// Held-ness is a must-analysis over the syntax tree: a lock counts as
 // held at a point only when every path to that point holds it, so
-// conditional-locking shapes do not produce false positives. A
-// deferred Unlock does NOT release for the analysis — the lock really
-// is held until the function returns, and blocking below a
-// `defer mu.Unlock()` is still blocking under the lock.
+// conditional-locking shapes do not produce false positives. Each
+// function body is walked in source order. Branches meet by
+// intersection, break and continue carry their state to the statement
+// they leave, a loop body is walked until the state at its head
+// settles, return or panic ends a path, and a goto carries its state
+// to its label. A deferred Unlock does NOT release for the analysis —
+// the lock really is held until the function returns, and blocking
+// below a `defer mu.Unlock()` is still blocking under the lock.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "module-wide mutex acquisition order must be acyclic, and no goroutine may block while holding a lock",
@@ -83,142 +86,301 @@ const (
 	lockRelease
 )
 
-// checkLocks analyzes one function body: held-set fixpoint, then a
-// reporting walk from the converged block in-states.
+// checkLocks walks one function body from an empty held set: quietly
+// until the states its gotos carry settle (a backward goto feeds a
+// label the walk has passed), then once with reporting on. A function
+// literal inside the body is its own function: it runs when called,
+// not where it is written.
 func checkLocks(pass *Pass, funcName string, body *ast.BlockStmt) {
-	// Intern this function's lock classes first; a function that never
-	// locks cannot hold anything, so the graph is not even built.
-	var classes []string
-	classIdx := make(map[string]int)
-	intern := func(c string) int {
-		i, ok := classIdx[c]
-		if !ok {
-			i = len(classes)
-			classIdx[c] = i
-			classes = append(classes, c)
-		}
-		return i
+	w := &lockWalk{pass: pass, funcName: funcName, quiet: true, gotos: make(map[string]held)}
+	for w.gotoMoved = true; w.gotoMoved; {
+		w.gotoMoved = false
+		w.stmt(body, held{})
 	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false // separate graph
-		}
-		if s, ok := n.(ast.Stmt); ok {
-			if class, _, kind := lockEvent(pass, funcName, s); kind == lockAcquire || kind == lockRelease {
-				intern(class)
-			}
-		}
-		return true
-	})
-	if len(classes) == 0 {
-		return
-	}
+	w.quiet = false
+	w.stmt(body, held{})
+}
 
-	g := cfg.New(body)
-	n := len(classes)
-	states := cfg.RunGenKill(g, cfg.Forward, cfg.Must, n, func(b *cfg.Block) cfg.GenKill {
-		gk := cfg.GenKill{Gen: cfg.NewBitSet(n), Kill: cfg.NewBitSet(n)}
-		for _, node := range b.Nodes {
-			s, ok := node.(ast.Stmt)
-			if !ok {
-				continue
-			}
-			class, _, kind := lockEvent(pass, funcName, s)
-			switch kind {
-			case lockAcquire:
-				i := classIdx[class]
-				gk.Gen.Set(i)
-				gk.Kill.Clear(i)
-			case lockRelease:
-				i := classIdx[class]
-				gk.Kill.Set(i)
-				gk.Gen.Clear(i)
-			}
-		}
-		return gk
-	})
+// held is the set of lock classes held on every path to a point in a
+// function body. A nil held marks a point no path reaches.
+type held map[string]bool
 
-	// Must-mode initialises unreachable blocks to "everything held";
-	// only report from blocks control can actually reach.
-	reachable := make(map[*cfg.Block]bool)
-	var mark func(b *cfg.Block)
-	mark = func(b *cfg.Block) {
-		if reachable[b] {
-			return
-		}
-		reachable[b] = true
-		for _, s := range b.Succs {
-			mark(s)
+// meet joins two paths: a class stays held only if both hold it.
+func meet(a, b held) held {
+	if a == nil {
+		return b
+	}
+	if b == nil {
+		return a
+	}
+	out := held{}
+	for c := range a {
+		if b[c] {
+			out[c] = true
 		}
 	}
-	if len(g.Blocks) > 0 {
-		mark(g.Blocks[0])
-	}
+	return out
+}
 
-	heldNames := func(held cfg.BitSet) string {
-		var names []string
-		for i := 0; i < n; i++ {
-			if held.Has(i) {
-				names = append(names, classes[i])
-			}
+// with returns a copy of h in which class is held or not.
+func (h held) with(class string, on bool) held {
+	out := held{}
+	for c := range h {
+		out[c] = true
+	}
+	if on {
+		out[class] = true
+	} else {
+		delete(out, class)
+	}
+	return out
+}
+
+func (h held) same(o held) bool {
+	if (h == nil) != (o == nil) || len(h) != len(o) {
+		return false
+	}
+	for c := range h {
+		if !o[c] {
+			return false
 		}
-		sort.Strings(names)
-		out := ""
-		for i, s := range names {
-			if i > 0 {
-				out += ", "
+	}
+	return true
+}
+
+func (h held) String() string {
+	names := make([]string, 0, len(h))
+	for c := range h {
+		names = append(names, c)
+	}
+	sort.Strings(names)
+	return strings.Join(names, ", ")
+}
+
+// lockWalk is the walk of one function body.
+type lockWalk struct {
+	pass     *Pass
+	funcName string
+	// quiet is set while a loop body or the function is walked towards
+	// its fixpoint: those passes may see more locks than the settled
+	// state, so they report nothing and record no edge.
+	quiet  bool
+	frames []lockFrame
+	label  string // label of the statement about to be walked
+	fall   held   // state at the fallthrough that ended the last clause
+	// gotos holds the meet of the states each label's gotos carry;
+	// gotoMoved records that a pass changed one.
+	gotos     map[string]held
+	gotoMoved bool
+}
+
+// lockFrame is one statement a break (or, for a loop, a continue) can
+// leave, with the meet of the states those jumps carry.
+type lockFrame struct {
+	label     string
+	loop      bool
+	brk, cont held
+}
+
+// stmt walks s from state h and returns the state after it.
+func (w *lockWalk) stmt(s ast.Stmt, h held) held {
+	if ls, ok := s.(*ast.LabeledStmt); ok {
+		w.label = ls.Label.Name
+		return w.stmt(ls.Stmt, meet(h, w.gotos[ls.Label.Name]))
+	}
+	label := w.label
+	w.label = ""
+	if s == nil || h == nil {
+		return h
+	}
+	switch x := s.(type) {
+	case *ast.BlockStmt:
+		return w.list(x.List, h)
+	case *ast.ReturnStmt:
+		w.visit(x, h)
+		return nil
+	case *ast.ExprStmt:
+		h = w.visit(x, h)
+		if isPanic(x.X) {
+			return nil
+		}
+		return h
+	case *ast.BranchStmt:
+		w.jump(x, h)
+		return nil
+	case *ast.IfStmt:
+		h = w.visit(x.Cond, w.stmt(x.Init, h))
+		return meet(w.stmt(x.Body, h), w.stmt(x.Else, h))
+	case *ast.ForStmt:
+		return w.loop(label, w.stmt(x.Init, h), x.Body, x.Cond, x.Post)
+	case *ast.RangeStmt:
+		return w.loop(label, h, x.Body, x, nil)
+	case *ast.SwitchStmt:
+		return w.cases(label, x.Body, w.visit(x.Tag, w.stmt(x.Init, h)))
+	case *ast.TypeSwitchStmt:
+		return w.cases(label, x.Body, w.visit(x.Assign, w.stmt(x.Init, h)))
+	case *ast.SelectStmt:
+		h = w.visit(x, h) // the wait point; its comm clauses block only here
+		end, brk := w.enter(label, false, func() held {
+			var out held
+			for _, cc := range x.Body.List {
+				out = meet(out, w.list(cc.(*ast.CommClause).Body, h))
 			}
-			out += s
+			return out
+		})
+		return meet(end, brk)
+	}
+	return w.visit(s, h)
+}
+
+func (w *lockWalk) list(list []ast.Stmt, h held) held {
+	for _, s := range list {
+		h = w.stmt(s, h)
+	}
+	return h
+}
+
+// loop walks a for or range loop entered with state in. head is the
+// node evaluated before each iteration (the condition, or the range
+// statement itself; nil for an infinite for), and post is a for loop's
+// post statement. The body is walked quietly until the state at the
+// head settles, then once more with reporting on.
+func (w *lockWalk) loop(label string, in held, body *ast.BlockStmt, head ast.Node, post ast.Stmt) held {
+	pass := func(h held) (back, out held) {
+		w.visit(head, h)
+		end, brk := w.enter(label, true, func() held { return w.stmt(body, h) })
+		end = w.stmt(post, end)
+		if head != nil {
+			brk = meet(brk, h) // the condition or the range ends the loop
+		}
+		return end, brk
+	}
+	quiet := w.quiet
+	w.quiet = true
+	h := in
+	for {
+		back, _ := pass(h)
+		next := meet(in, back)
+		if next.same(h) {
+			break
+		}
+		h = next
+	}
+	w.quiet = quiet
+	_, out := pass(h)
+	return out
+}
+
+// cases walks a switch body: every clause starts from the state after
+// the tag, a fallthrough also carries its clause's end state into the
+// next clause, and without a default the tag's state skips the switch.
+func (w *lockWalk) cases(label string, body *ast.BlockStmt, h held) held {
+	end, brk := w.enter(label, false, func() held {
+		var out, fall held
+		dflt := false
+		for _, cs := range body.List {
+			c := cs.(*ast.CaseClause)
+			dflt = dflt || c.List == nil
+			in := meet(h, fall)
+			for _, e := range c.List {
+				in = w.visit(e, in)
+			}
+			out = meet(out, w.list(c.Body, in))
+			fall, w.fall = w.fall, nil
+		}
+		if !dflt {
+			out = meet(out, h)
 		}
 		return out
-	}
+	})
+	return meet(end, brk)
+}
 
-	for _, b := range g.Blocks {
-		if !reachable[b] {
+// enter walks body as the target of break (and, for a loop, continue)
+// statements. It returns the state at the end of the body met with the
+// continues, and the meet of the breaks.
+func (w *lockWalk) enter(label string, loop bool, body func() held) (end, brk held) {
+	w.frames = append(w.frames, lockFrame{label: label, loop: loop})
+	end = body()
+	f := w.frames[len(w.frames)-1]
+	w.frames = w.frames[:len(w.frames)-1]
+	return meet(end, f.cont), f.brk
+}
+
+// jump records the state a branch statement carries to its target.
+func (w *lockWalk) jump(x *ast.BranchStmt, h held) {
+	switch x.Tok {
+	case token.GOTO:
+		old := w.gotos[x.Label.Name]
+		w.gotos[x.Label.Name] = meet(old, h)
+		w.gotoMoved = w.gotoMoved || !old.same(w.gotos[x.Label.Name])
+		return
+	case token.FALLTHROUGH:
+		w.fall = h
+		return
+	}
+	for i := len(w.frames) - 1; i >= 0; i-- {
+		f := &w.frames[i]
+		if x.Label != nil && x.Label.Name != f.label || x.Tok == token.CONTINUE && !f.loop {
 			continue
 		}
-		held := states[b].In.Clone()
-		for _, node := range b.Nodes {
-			if s, ok := node.(ast.Stmt); ok {
-				class, pos, kind := lockEvent(pass, funcName, s)
-				switch kind {
-				case lockAcquire:
-					i := classIdx[class]
-					if held.Has(i) {
-						pass.Reportf(pos, "acquiring %s while already holding it: the module's mutexes are not reentrant", class)
-					}
-					for j := 0; j < n; j++ {
-						if j != i && held.Has(j) {
-							e := lockEdge{from: classes[j], to: class}
-							if _, seen := pass.Module.lockEdges[e]; !seen {
-								pass.Module.lockEdges[e] = pos
-							}
-						}
-					}
-					held.Set(i)
-					continue
-				case lockRelease:
-					held.Clear(classIdx[class])
-					continue
-				}
+		if x.Tok == token.BREAK {
+			f.brk = meet(f.brk, h)
+		} else {
+			f.cont = meet(f.cont, h)
+		}
+		return
+	}
+}
+
+// visit applies one straight-line node: a lock event changes the held
+// set, anything else is checked for blocking while a lock is held.
+func (w *lockWalk) visit(n ast.Node, h held) held {
+	if n == nil || h == nil {
+		return h
+	}
+	if s, ok := n.(ast.Stmt); ok {
+		switch class, pos, kind := lockEvent(w.pass, w.funcName, s); kind {
+		case lockAcquire:
+			if !w.quiet {
+				w.acquire(class, pos, h)
 			}
-			if empty(held) {
-				continue
-			}
-			if desc, pos, blocking := blockingOp(pass, g, node); blocking {
-				pass.Reportf(pos, "%s while holding %s", desc, heldNames(held))
+			return h.with(class, true)
+		case lockRelease:
+			return h.with(class, false)
+		}
+	}
+	if len(h) > 0 && !w.quiet {
+		if desc, pos, blocking := blockingOp(w.pass, n); blocking {
+			w.pass.Reportf(pos, "%s while holding %s", desc, h)
+		}
+	}
+	return h
+}
+
+// acquire reports a reentrant acquisition and records an order edge
+// from every other class held.
+func (w *lockWalk) acquire(class string, pos token.Pos, h held) {
+	if h[class] {
+		w.pass.Reportf(pos, "acquiring %s while already holding it: the module's mutexes are not reentrant", class)
+	}
+	for c := range h {
+		if e := (lockEdge{from: c, to: class}); c != class {
+			if _, seen := w.pass.Module.lockEdges[e]; !seen {
+				w.pass.Module.lockEdges[e] = pos
 			}
 		}
 	}
 }
 
-func empty(s cfg.BitSet) bool {
-	for _, w := range s {
-		if w != 0 {
-			return false
-		}
+// isPanic reports whether e is a call to the predeclared panic.
+func isPanic(e ast.Expr) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return false
 	}
-	return true
+	id, ok := call.Fun.(*ast.Ident)
+	return ok && id.Name == "panic"
 }
 
 // lockEvent classifies a statement as a lock acquisition or release on
@@ -302,13 +464,9 @@ func lockClass(pass *Pass, funcName string, e ast.Expr) (string, bool) {
 // blockingOp reports whether executing node can block the goroutine:
 // bare channel operations, default-less selects, channel ranges, Wait,
 // Sleep, and network calls. Select-guarded communications (a comm
-// clause of some select) are judged at their SelectStmt, not here.
-func blockingOp(pass *Pass, g *cfg.Graph, node ast.Node) (string, token.Pos, bool) {
-	if s, ok := node.(ast.Stmt); ok {
-		if g.CommSelect[s] != nil {
-			return "", token.NoPos, false
-		}
-	}
+// clause of some select) are judged at their SelectStmt and never
+// reach here.
+func blockingOp(pass *Pass, node ast.Node) (string, token.Pos, bool) {
 	switch x := node.(type) {
 	case *ast.SelectStmt:
 		for _, cc := range x.Body.List {

@@ -4,47 +4,34 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"urllangid/internal/analysis/cfg"
 )
 
-// PinPair checks the registry's lease contract: every Acquire must be
-// paired with a Release on all execution paths, or the lease must be
-// handed to someone who will (returned, stored, or passed along — the
-// engine-drain contract transfers ownership explicitly, never drops
-// it).
+// PinPair checks the registry's lease contract in the one shape that
+// releases a lease on every path by construction:
 //
-// Since PR 8 the check is path-sensitive: the function body is lowered
-// to a control-flow graph (internal/analysis/cfg) and every path from
-// the Acquire to a return is walked. A release in one branch no longer
-// excuses an early return in another — the v1 analyzer accepted any
-// function that mentioned Release *somewhere*, which is exactly the
-// shape of the bug that leaks a pinned engine on the error path and
-// keeps a retired model's file mapped forever.
+//	l, err := reg.Acquire(name)
+//	if err != nil {
+//		return ...
+//	}
+//	defer l.Release()
 //
-// Per-path rules:
+// Every call to a module function named Acquire whose first result has
+// a Release method must be bound this way, with the error check and
+// the deferred Release as the two statements right after the binding.
+// Anything else is reported at the call: a release on some paths only,
+// a release that is not deferred, an unchecked error, a discarded,
+// stored, returned or passed-on lease. A function that hands the
+// release to its caller on purpose waives the finding with
+// //urllangid:ignore pinpair <reason>, as registry.Resolve and the
+// cascade's tier source do.
 //
-//   - A path is discharged by a .Release use (call, defer, or the
-//     method value itself — the HTTP layer hands l.Release to the
-//     caller as the per-request release func), by returning the lease,
-//     by storing it (struct field, slice, map, variable), or by
-//     passing it to a call.
-//   - The error path of the binding `l, err := x.Acquire(name)` is
-//     exempt where it is guarded: on the true edge of `err != nil`
-//     (or the false edge of `err == nil`) the lease is the invalid
-//     zero value and carries no obligation.
-//   - A panicking path ends without obligation (the CFG does not route
-//     panics to the exit block).
-//   - Using the lease's *contents* — l.Engine() — is deliberately not
-//     a hand-off: the engine value does not carry the release
-//     obligation with it.
-//
-// Diagnostics: a lease no path releases reports once at the binding
-// ("never released"); a lease some paths release and some leak reports
-// at each leaking return, naming the path.
+// The rule sees only Acquire. A release handed out as a func() —
+// Resolve's to the HTTP handlers, the tier source's to the cascade —
+// is checked at run time instead, by the root package's
+// TestNoPinOutlivesItsCall.
 var PinPair = &Analyzer{
 	Name: "pinpair",
-	Doc:  "every registry Acquire needs a Release on every execution path (defer, explicit call, or explicit ownership transfer)",
+	Doc:  "every registry Acquire is followed by its err != nil return and then defer <lease>.Release()",
 	Run:  runPinPair,
 }
 
@@ -55,13 +42,27 @@ func runPinPair(pass *Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			name := fd.Name.Name
-			// Closures acquire leases too (stream handlers); each FuncLit
-			// body is its own function with its own graph.
-			checkLeasesIn(pass, name, fd.Body)
+			// Inspect visits a statement list before the calls inside
+			// it, so a shaped binding is marked before its call is seen.
+			shaped := make(map[*ast.CallExpr]bool)
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if fl, ok := n.(*ast.FuncLit); ok {
-					checkLeasesIn(pass, name+" (func literal)", fl.Body)
+				var list []ast.Stmt
+				switch x := n.(type) {
+				case *ast.BlockStmt:
+					list = x.List
+				case *ast.CaseClause:
+					list = x.Body
+				case *ast.CommClause:
+					list = x.Body
+				case *ast.CallExpr:
+					if acquireCall(pass, x) && !shaped[x] {
+						pass.Reportf(x.Pos(), "lease from Acquire in %s must be bound as `l, err := Acquire(...)`, then `if err != nil { return ... }`, then `defer l.Release()`", fd.Name.Name)
+					}
+				}
+				for i := range list {
+					if call := shapedAcquire(pass, list, i); call != nil {
+						shaped[call] = true
+					}
 				}
 				return true
 			})
@@ -105,272 +106,59 @@ func hasReleaseMethod(t types.Type) bool {
 	return false
 }
 
-// checkLeasesIn finds the lease bindings in one function body and
-// walks every execution path from each.
-func checkLeasesIn(pass *Pass, funcName string, body *ast.BlockStmt) {
-	info := pass.Info
-
-	// Gather bindings first; building the graph is only worth it when
-	// a lease exists.
-	type binding struct {
-		stmt    *ast.AssignStmt
-		lease   types.Object
-		errObj  types.Object
-		callPos token.Pos
+// shapedAcquire returns the Acquire call that list[i] binds when the
+// two statements after it are the error's return and the lease's
+// deferred Release, and nil otherwise.
+func shapedAcquire(pass *Pass, list []ast.Stmt, i int) *ast.CallExpr {
+	if i+2 >= len(list) {
+		return nil
 	}
-	var bindings []binding
-	ast.Inspect(body, func(n ast.Node) bool {
-		if fl, ok := n.(*ast.FuncLit); ok && fl.Body != body {
-			return false // separate graph, checked by the caller
-		}
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 {
-			return true
-		}
-		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-		if !ok || !acquireCall(pass, call) {
-			return true
-		}
-		leaseIdent, ok := ast.Unparen(as.Lhs[0]).(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if leaseIdent.Name == "_" {
-			pass.Reportf(as.Pos(), "lease from %s is discarded; the pinned model version can never be released", calleeFunc(info, call).Name())
-			return true
-		}
-		obj := info.Defs[leaseIdent]
-		if obj == nil {
-			obj = info.Uses[leaseIdent] // plain = assignment to an existing var
-		}
-		if obj == nil {
-			return true
-		}
-		b := binding{stmt: as, lease: obj, callPos: call.Pos()}
-		if len(as.Lhs) > 1 {
-			if errIdent, ok := ast.Unparen(as.Lhs[1]).(*ast.Ident); ok && errIdent.Name != "_" {
-				if eo := info.Defs[errIdent]; eo != nil {
-					b.errObj = eo
-				} else {
-					b.errObj = info.Uses[errIdent]
-				}
-			}
-		}
-		bindings = append(bindings, b)
-		return true
-	})
-	if len(bindings) == 0 {
-		return
+	bind, ok := list[i].(*ast.AssignStmt)
+	if !ok || len(bind.Lhs) != 2 || len(bind.Rhs) != 1 {
+		return nil
 	}
-
-	g := cfg.New(body)
-	// Locate each statement node's block and index once.
-	type at struct {
-		blk *cfg.Block
-		idx int
+	call, ok := ast.Unparen(bind.Rhs[0]).(*ast.CallExpr)
+	if !ok || !acquireCall(pass, call) {
+		return nil
 	}
-	where := make(map[ast.Node]at)
-	for _, blk := range g.Blocks {
-		for i, n := range blk.Nodes {
-			where[n] = at{blk, i}
-		}
+	lease, err := identObj(pass.Info, bind.Lhs[0]), identObj(pass.Info, bind.Lhs[1])
+	if lease == nil || err == nil {
+		return nil
 	}
-
-	for _, b := range bindings {
-		pos, ok := where[ast.Node(b.stmt)]
-		if !ok {
-			continue // unreachable code
-		}
-		w := &leaseWalk{
-			pass:    pass,
-			g:       g,
-			lease:   b.lease,
-			errObj:  b.errObj,
-			binding: b.stmt,
-			visited: make(map[*cfg.Block]bool),
-		}
-		w.walk(pos.blk, pos.idx+1)
-		leaseName := b.lease.Name()
-		switch {
-		case len(w.leaks) == 0:
-			// Every path discharged the obligation.
-		case w.kills == 0:
-			// No path releases: one diagnostic at the binding reads
-			// better than one per return.
-			pass.Reportf(b.stmt.Pos(), "lease %s is never released in %s: call %s.Release (usually deferred) or hand the lease off explicitly", leaseName, funcName, leaseName)
-		default:
-			for _, leak := range w.leaks {
-				if leak == nil {
-					pass.Reportf(b.stmt.Pos(), "lease %s is not released on a path that falls off the end of %s", leaseName, funcName)
-					continue
-				}
-				pass.Reportf(leak.Pos(), "lease %s may not be released on this return path in %s; release it before returning or hand it off", leaseName, funcName)
-			}
-		}
+	check, ok := list[i+1].(*ast.IfStmt)
+	if !ok || check.Else != nil || !isErrNotNil(pass.Info, check.Cond, err) {
+		return nil
 	}
-}
-
-// leaseWalk is one binding's depth-first path exploration: from the
-// statement after the Acquire, follow every CFG edge until the
-// obligation is discharged (kill) or a function exit is reached with
-// the lease still live (leak).
-type leaseWalk struct {
-	pass    *Pass
-	g       *cfg.Graph
-	lease   types.Object
-	errObj  types.Object
-	binding *ast.AssignStmt
-	visited map[*cfg.Block]bool
-	kills   int
-	leaks   []ast.Node // the leaking return statements; nil = fell off the end
-}
-
-func (w *leaseWalk) walk(blk *cfg.Block, start int) {
-	if start == 0 {
-		if w.visited[blk] {
-			return
-		}
-		w.visited[blk] = true
+	body := check.Body.List
+	if len(body) == 0 {
+		return nil
 	}
-	if blk == w.g.Exit {
-		w.leaks = append(w.leaks, nil)
-		return
+	if _, ok := body[len(body)-1].(*ast.ReturnStmt); !ok {
+		return nil
 	}
-	for i := start; i < len(blk.Nodes); i++ {
-		n := blk.Nodes[i]
-		if ret, ok := n.(*ast.ReturnStmt); ok {
-			if w.stmtHandles(n) {
-				w.kills++
-			} else {
-				w.leaks = append(w.leaks, ret)
-			}
-			return
-		}
-		if w.stmtHandles(n) {
-			w.kills++
-			return
-		}
-	}
-	// Block exhausted: follow edges, honouring the err-guard when the
-	// block ends in a condition on the binding's error result.
-	drop := -1 // successor index the obligation does not survive into
-	if w.errObj != nil && blk.Cond != nil && len(blk.Succs) == 2 {
-		switch guardKind(w.pass.Info, blk.Cond, w.errObj) {
-		case guardErrNotNil:
-			drop = 0 // true edge: err != nil, the lease is the zero value
-		case guardErrIsNil:
-			drop = 1 // false edge of err == nil
-		}
-	}
-	for i, s := range blk.Succs {
-		if i == drop {
-			continue
-		}
-		w.walk(s, 0)
-	}
-}
-
-// stmtHandles reports whether one statement discharges the lease:
-// a .Release selection (call, defer, or method value), the lease
-// returned, stored, or passed to a call.
-func (w *leaseWalk) stmtHandles(n ast.Node) bool {
-	info := w.pass.Info
-	handled := false
-	ast.Inspect(n, func(x ast.Node) bool {
-		if handled {
-			return false
-		}
-		switch x := x.(type) {
-		case *ast.SelectorExpr:
-			if isLeaseExpr(info, x.X, w.lease) && x.Sel.Name == "Release" {
-				handled = true
-			}
-		case *ast.ReturnStmt:
-			for _, r := range x.Results {
-				if isLeaseExpr(info, r, w.lease) {
-					handled = true
-				}
-			}
-		case *ast.CallExpr:
-			for _, a := range x.Args {
-				if isLeaseExpr(info, a, w.lease) {
-					handled = true
-				}
-			}
-		case *ast.AssignStmt:
-			if x == w.binding {
-				return true
-			}
-			// Storing the lease (into a field, slice, map or another
-			// variable) transfers ownership to the holder.
-			for i, r := range x.Rhs {
-				if isLeaseExpr(info, r, w.lease) && (len(x.Lhs) != len(x.Rhs) || !isBlank(x.Lhs[i])) {
-					handled = true
-				}
-			}
-		case *ast.KeyValueExpr:
-			if isLeaseExpr(info, x.Value, w.lease) {
-				handled = true
-			}
-		}
-		return !handled
-	})
-	return handled
-}
-
-// guard classification for the binding's error result.
-type guard int
-
-const (
-	guardNone guard = iota
-	guardErrNotNil
-	guardErrIsNil
-)
-
-// guardKind classifies a branch condition as a nil check on errObj.
-func guardKind(info *types.Info, cond ast.Expr, errObj types.Object) guard {
-	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+	d, ok := list[i+2].(*ast.DeferStmt)
 	if !ok {
-		return guardNone
+		return nil
 	}
-	var other ast.Expr
-	switch {
-	case isObjExpr(info, be.X, errObj):
-		other = be.Y
-	case isObjExpr(info, be.Y, errObj):
-		other = be.X
-	default:
-		return guardNone
+	sel, ok := ast.Unparen(d.Call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Release" || identObj(pass.Info, sel.X) != lease {
+		return nil
 	}
-	if id, ok := ast.Unparen(other).(*ast.Ident); !ok || id.Name != "nil" {
-		return guardNone
-	}
-	switch be.Op {
-	case token.NEQ:
-		return guardErrNotNil
-	case token.EQL:
-		return guardErrIsNil
-	}
-	return guardNone
+	return call
 }
 
-func isObjExpr(info *types.Info, e ast.Expr, obj types.Object) bool {
+// isErrNotNil reports whether cond is `err != nil` on errObj.
+func isErrNotNil(info *types.Info, cond ast.Expr, errObj types.Object) bool {
+	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+	return ok && be.Op == token.NEQ && identObj(info, be.X) == errObj && info.Types[be.Y].IsNil()
+}
+
+// identObj returns the object a non-blank identifier defines or uses,
+// or nil for any other expression.
+func identObj(info *types.Info, e ast.Expr) types.Object {
 	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && (info.Uses[id] == obj || info.Defs[id] == obj)
-}
-
-func isBlank(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id.Name == "_"
-}
-
-// isLeaseExpr reports whether e denotes the lease value itself: the
-// identifier, or its address.
-func isLeaseExpr(info *types.Info, e ast.Expr, obj types.Object) bool {
-	e = ast.Unparen(e)
-	if u, ok := e.(*ast.UnaryExpr); ok && u.Op.String() == "&" {
-		e = ast.Unparen(u.X)
+	if !ok || id.Name == "_" {
+		return nil
 	}
-	id, ok := e.(*ast.Ident)
-	return ok && (info.Uses[id] == obj || info.Defs[id] == obj)
+	return info.ObjectOf(id)
 }

@@ -162,3 +162,186 @@ func promoted(e *embedded, ch chan int) {
 	defer e.Unlock()
 	<-ch // want "channel receive while holding"
 }
+
+// The shapes below pin the syntax-tree walk to the control-flow
+// semantics of a must-analysis: branches meet by intersection, break
+// and continue carry their state to the loop or switch they leave, a
+// loop body is walked until its entry state settles, and return or
+// panic ends a path.
+
+// heldAcrossFor: the lock is held on every path through the loop.
+func heldAcrossFor(a *A, ch chan int, n int) {
+	a.mu.Lock()
+	for i := 0; i < n; i++ {
+		ch <- i // want "channel send while holding"
+	}
+	a.mu.Unlock()
+}
+
+func heldAcrossRange(a *A, ch chan int, xs []int) {
+	a.mu.Lock()
+	for _, x := range xs {
+		ch <- x // want "channel send while holding"
+	}
+	a.mu.Unlock()
+}
+
+// relockInLoop: each iteration drops the lock around its send and takes
+// it again, so the send is unlocked and the relock is not reentrant.
+func relockInLoop(a *A, ch chan int, n int) {
+	a.mu.Lock()
+	for i := 0; i < n; i++ {
+		a.mu.Unlock()
+		ch <- i
+		a.mu.Lock()
+	}
+	a.mu.Unlock()
+}
+
+// breakAfterUnlock: the only way out of the infinite loop is the break
+// after the unlock.
+func breakAfterUnlock(a *A, ch chan int, ready func() bool) int {
+	a.mu.Lock()
+	for {
+		if ready() {
+			a.mu.Unlock()
+			break
+		}
+	}
+	return <-ch
+}
+
+// labeledBreak leaves both loops from the inner one with the lock
+// released. The inner loop's own exit keeps the lock, so the sleep in
+// the outer body is under it, and the receive after both loops is not
+// held on every path.
+func labeledBreak(a *A, ch chan int, rows [][]int) int {
+	a.mu.Lock()
+outer:
+	for _, row := range rows {
+		for _, x := range row {
+			if x < 0 {
+				a.mu.Unlock()
+				break outer
+			}
+		}
+		time.Sleep(time.Millisecond) // want "time.Sleep while holding"
+	}
+	return <-ch
+}
+
+// continueAfterUnlock: an iteration that unlocks continues, so the next
+// iteration's receive is not under the lock on every path.
+func continueAfterUnlock(a *A, ch chan int, xs []int) {
+	a.mu.Lock()
+	for _, x := range xs {
+		if v := <-ch; v == x {
+			a.mu.Unlock()
+			continue
+		}
+	}
+}
+
+// switchReturn: the case that unlocks returns, so every path that falls
+// out of the switch still holds the lock.
+func switchReturn(a *A, ch chan int, mode int) int {
+	a.mu.Lock()
+	switch mode {
+	case 0:
+		a.mu.Unlock()
+		return 0
+	case 1:
+		mode++
+	}
+	return <-ch // want "channel receive while holding"
+}
+
+// switchNoDefault: every case locks, but a mode no case matches skips
+// the switch without the lock.
+func switchNoDefault(a *A, ch chan int, mode int) int {
+	switch mode {
+	case 0:
+		a.mu.Lock()
+	case 1:
+		a.mu.Lock()
+	}
+	return <-ch
+}
+
+// selectBothUnlock: the select waits under the lock, and each arm
+// releases it before the send after the select.
+func selectBothUnlock(a *A, in, out chan int) {
+	a.mu.Lock()
+	var v int
+	select { // want "select with no default arm while holding"
+	case v = <-in:
+		a.mu.Unlock()
+	case <-out:
+		a.mu.Unlock()
+	}
+	out <- v
+}
+
+// ifElseOneArm: only the if arm unlocks, so the else arm blocks under
+// the lock and the receive after the branch is not held on every path.
+func ifElseOneArm(a *A, ch chan int, fast bool) int {
+	a.mu.Lock()
+	if fast {
+		a.mu.Unlock()
+	} else {
+		<-ch // want "channel receive while holding"
+	}
+	return <-ch
+}
+
+func ifElseBothArms(a *A, ch chan int, fast bool) int {
+	a.mu.Lock()
+	if fast {
+		a.mu.Unlock()
+	} else {
+		a.mu.Unlock()
+	}
+	return <-ch
+}
+
+// fallthroughUnlocked: the second case is entered from the switch with
+// the lock held and from the first case without it.
+func fallthroughUnlocked(a *A, ch chan int, mode int) int {
+	a.mu.Lock()
+	switch mode {
+	case 0:
+		a.mu.Unlock()
+		fallthrough
+	case 1:
+		return <-ch
+	}
+	a.mu.Unlock()
+	return 0
+}
+
+// gotoUnlocked: the forward goto leaves the lock released, so the
+// receive at its label is not held on every path.
+func gotoUnlocked(a *A, ch chan int, skip bool) int {
+	a.mu.Lock()
+	if skip {
+		a.mu.Unlock()
+		goto wait
+	}
+	time.Sleep(time.Millisecond) // want "time.Sleep while holding"
+wait:
+	return <-ch
+}
+
+// gotoLoop: the backward goto re-enters its label without the lock, so
+// the receive there is not held on every path.
+func gotoLoop(a *A, ch chan int, n int) {
+	a.mu.Lock()
+	i := 0
+again:
+	if i < n {
+		<-ch
+		a.mu.Unlock()
+		i++
+		goto again
+	}
+}

@@ -1,6 +1,6 @@
 // Package pinpair is the golden corpus for the pinpair analyzer: the
-// Acquire/Release shapes the registry contract allows, and the leaks
-// it must catch.
+// one Acquire shape the lease contract accepts, a waived hand-off, and
+// the shapes it rejects because some path can leak the lease.
 package pinpair
 
 import "errors"
@@ -23,6 +23,8 @@ func (r *Reg) Acquire(name string) (Lease, error) {
 	return Lease{e: &engine{}}, nil
 }
 
+// deferred is the accepted shape: bind, return on error, defer the
+// release.
 func deferred(r *Reg) (int, error) {
 	l, err := r.Acquire("m")
 	if err != nil {
@@ -32,48 +34,30 @@ func deferred(r *Reg) (int, error) {
 	return l.Engine().n, nil
 }
 
-func leak(r *Reg) int {
-	l, err := r.Acquire("m") // want "never released"
-	if err != nil {
-		return 0
+// closureDeferred and perMode: the shape holds in a func literal and in
+// a case clause too.
+func closureDeferred(r *Reg) func() int {
+	return func() int {
+		l, err := r.Acquire("m")
+		if err != nil {
+			return 0
+		}
+		defer l.Release()
+		return l.Engine().n
 	}
-	return l.Engine().n
 }
 
-func discard(r *Reg) {
-	_, _ = r.Acquire("m") // want "discarded"
-}
-
-type holder struct{ l Lease }
-
-// stash transfers ownership: the holder releases later.
-func stash(r *Reg, h *holder) error {
-	l, err := r.Acquire("m")
-	if err != nil {
-		return err
+func perMode(r *Reg, mode int) int {
+	switch mode {
+	case 1:
+		l, err := r.Acquire("m")
+		if err != nil {
+			return 0
+		}
+		defer l.Release()
+		return l.Engine().n
 	}
-	h.l = l
-	return nil
-}
-
-// handoff transfers ownership through a call argument.
-func handoff(r *Reg) {
-	l, _ := r.Acquire("m")
-	releaseLater(l)
-}
-
-func releaseLater(l Lease) { l.Release() }
-
-// methodValue hands the release obligation to the caller, the way the
-// registry's Resolve returns l.Release as the per-request close func.
-func methodValue(r *Reg) func() {
-	l, _ := r.Acquire("m")
-	return l.Release
-}
-
-// returned transfers the lease itself.
-func returned(r *Reg) (Lease, error) {
-	return r.Acquire("m")
+	return 0
 }
 
 func pinned(r *Reg) *engine {
@@ -81,73 +65,47 @@ func pinned(r *Reg) *engine {
 	return l.Engine()
 }
 
-// branchLeak is the shape the path-sensitive rewrite exists for: the
-// happy path releases, but the flaky early return leaks. The v1
-// analyzer ("mentions Release somewhere") accepted this.
+func leak(r *Reg) int {
+	l, err := r.Acquire("m") // want "in leak must be bound as"
+	if err != nil {
+		return 0
+	}
+	return l.Engine().n
+}
+
+func discard(r *Reg) {
+	_, _ = r.Acquire("m") // want "in discard must be bound as"
+}
+
+// branchLeak releases on the happy path, but the flaky early return
+// leaks.
 func branchLeak(r *Reg, flaky bool) int {
-	l, err := r.Acquire("m")
+	l, err := r.Acquire("m") // want "in branchLeak must be bound as"
 	if err != nil {
 		return 0
 	}
 	if flaky {
-		return 0 // want "may not be released on this return path"
+		return 0
 	}
 	l.Release()
 	return 1
 }
 
-// bothBranches releases on every path; no single post-dominating
-// release exists, and that is fine.
-func bothBranches(r *Reg, fast bool) int {
-	l, _ := r.Acquire("m")
-	if fast {
-		l.Release()
-		return 1
-	}
-	l.Release()
-	return 0
-}
-
-// loopReturn leaks through the early return inside the loop while the
-// fall-through path releases.
+// loopReturn leaks through the early return inside the loop.
 func loopReturn(r *Reg, xs []int) int {
-	l, _ := r.Acquire("m")
+	l, _ := r.Acquire("m") // want "in loopReturn must be bound as"
 	for _, x := range xs {
 		if x < 0 {
-			return x // want "may not be released on this return path"
+			return x
 		}
 	}
 	l.Release()
 	return 0
 }
 
-// guardInverse: the err == nil guard exempts the error path the same
-// way the usual err != nil early return does.
-func guardInverse(r *Reg) int {
-	l, err := r.Acquire("m")
-	if err == nil {
-		defer l.Release()
-		return l.Engine().n
-	}
-	return 0
-}
-
-// panicPath: a panicking path never reaches a return, so it carries no
-// release obligation.
-func panicPath(r *Reg, ok bool) int {
-	l, _ := r.Acquire("m")
-	if !ok {
-		panic("bad model")
-	}
-	defer l.Release()
-	return l.Engine().n
-}
-
-// closureLeak: leases acquired inside closures are checked against the
-// closure's own graph, not the enclosing function's.
 func closureLeak(r *Reg) func() int {
 	return func() int {
-		l, err := r.Acquire("m") // want "never released"
+		l, err := r.Acquire("m") // want "in closureLeak must be bound as"
 		if err != nil {
 			return 0
 		}
@@ -155,46 +113,10 @@ func closureLeak(r *Reg) func() int {
 	}
 }
 
-// deferredClosure releases through a deferred func literal; the defer
-// statement discharges the path it executes on.
-func deferredClosure(r *Reg) int {
-	l, err := r.Acquire("m")
-	if err != nil {
-		return 0
-	}
-	defer func() { l.Release() }()
-	return l.Engine().n
-}
-
-// twoTier is the cascade serving shape: the fast tier's pin is held
-// across the slow tier's acquire, and both are released on every path —
-// including the escalation-error path, where the fast answer stands.
-func twoTier(r *Reg, escalate bool) int {
-	fast, err := r.Acquire("fast")
-	if err != nil {
-		return 0
-	}
-	if !escalate {
-		n := fast.Engine().n
-		fast.Release()
-		return n
-	}
-	slow, err := r.Acquire("slow")
-	if err != nil {
-		n := fast.Engine().n
-		fast.Release()
-		return n
-	}
-	n := slow.Engine().n
-	slow.Release()
-	fast.Release()
-	return n
-}
-
-// twoTierLeak leaks the fast pin on the escalation path: the slow
-// answer returns while the fast tier is still pinned.
+// twoTierLeak holds one lease across a second Acquire and leaks the
+// first on the second's paths; the second is in shape.
 func twoTierLeak(r *Reg, escalate bool) int {
-	fast, err := r.Acquire("fast")
+	fast, err := r.Acquire("fast") // want "in twoTierLeak must be bound as"
 	if err != nil {
 		return 0
 	}
@@ -205,16 +127,16 @@ func twoTierLeak(r *Reg, escalate bool) int {
 	}
 	slow, err := r.Acquire("slow")
 	if err != nil {
-		return 0 // the fast pin leaks here too; the analyzer reports once per lease
+		return 0
 	}
 	defer slow.Release()
-	return slow.Engine().n // want "may not be released on this return path"
+	return slow.Engine().n
 }
 
-// twoTierErrLeak releases the fast pin on both answer paths but drops
-// the slow pin when the escalated classification itself fails.
+// twoTierErrLeak releases both leases on its answer paths but drops the
+// second when the escalated answer fails.
 func twoTierErrLeak(r *Reg, escalate, bad bool) (int, error) {
-	fast, err := r.Acquire("fast")
+	fast, err := r.Acquire("fast") // want "in twoTierErrLeak must be bound as"
 	if err != nil {
 		return 0, err
 	}
@@ -223,7 +145,7 @@ func twoTierErrLeak(r *Reg, escalate, bad bool) (int, error) {
 		fast.Release()
 		return n, nil
 	}
-	slow, err := r.Acquire("slow")
+	slow, err := r.Acquire("slow") // want "in twoTierErrLeak must be bound as"
 	if err != nil {
 		n := fast.Engine().n
 		fast.Release()
@@ -231,10 +153,53 @@ func twoTierErrLeak(r *Reg, escalate, bad bool) (int, error) {
 	}
 	if bad {
 		fast.Release()
-		return 0, errors.New("escalation failed") // want "may not be released on this return path"
+		return 0, errors.New("escalation failed")
 	}
 	n := slow.Engine().n
 	slow.Release()
 	fast.Release()
 	return n, nil
+}
+
+// The shapes below release on every path, but not by construction:
+// the next edit to them can leak, so the rule rejects them too.
+
+// released releases without defer, two lines after a check.
+func released(r *Reg) bool {
+	l, err := r.Acquire("m") // want "in released must be bound as"
+	if err != nil {
+		return false
+	}
+	ok := l.Engine() != nil
+	l.Release()
+	return ok
+}
+
+func unchecked(r *Reg) int {
+	l, _ := r.Acquire("m") // want "in unchecked must be bound as"
+	defer l.Release()
+	return l.Engine().n
+}
+
+func guardInverse(r *Reg) int {
+	l, err := r.Acquire("m") // want "in guardInverse must be bound as"
+	if err == nil {
+		defer l.Release()
+		return l.Engine().n
+	}
+	return 0
+}
+
+func deferredClosure(r *Reg) int {
+	l, err := r.Acquire("m") // want "in deferredClosure must be bound as"
+	if err != nil {
+		return 0
+	}
+	defer func() { l.Release() }()
+	return l.Engine().n
+}
+
+// returned hands the lease itself to the caller.
+func returned(r *Reg) (Lease, error) {
+	return r.Acquire("m") // want "in returned must be bound as"
 }

@@ -38,12 +38,10 @@ func (r *Registry) InstallCascade(name, fast, slow string, cfg cascade.Config) (
 		return serve.ModelInfo{}, fmt.Errorf("registry: cascade %q tiers must differ, both are %q", name, fast)
 	}
 	for _, tier := range []string{fast, slow} {
-		l, err := r.Acquire(tier)
+		nested, err := r.servesCascade(tier)
 		if err != nil {
 			return serve.ModelInfo{}, fmt.Errorf("registry: cascade %q tier: %w", name, err)
 		}
-		_, nested := l.v.engine.Predictor().(*cascade.Cascade)
-		l.Release()
 		if nested {
 			return serve.ModelInfo{}, fmt.Errorf("registry: cascade %q tier %q is itself a cascade; cascades do not nest", name, tier)
 		}
@@ -56,6 +54,18 @@ func (r *Registry) InstallCascade(name, fast, slow string, cfg cascade.Config) (
 		Model: fmt.Sprintf("cascade(%s→%s)", fast, slow),
 		Mode:  "cascade",
 	}, nil, engOpts)
+}
+
+// servesCascade reports whether the named slot's current version is a
+// cascade.
+func (r *Registry) servesCascade(name string) (bool, error) {
+	l, err := r.Acquire(name)
+	if err != nil {
+		return false, err
+	}
+	defer l.Release()
+	_, ok := l.v.engine.Predictor().(*cascade.Cascade)
+	return ok, nil
 }
 
 // tierSource adapts the registry's refcounted Acquire to the cascade's
