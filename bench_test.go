@@ -398,10 +398,11 @@ func servingURLs(n int) []string {
 	return urls
 }
 
-func benchSystemAndSnapshot(b *testing.B) (*core.System, *compiled.Snapshot) {
+// benchSystemAndSnapshot returns the shared environment's Naive Bayes
+// system over the given feature family, and its compiled snapshot.
+func benchSystemAndSnapshot(b *testing.B, kind features.Kind) (*core.System, *compiled.Snapshot) {
 	b.Helper()
-	e := env(b)
-	sys, err := e.System(core.Config{Algo: core.NaiveBayes, Features: features.Words})
+	sys, err := env(b).System(core.Config{Algo: core.NaiveBayes, Features: kind})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -409,7 +410,7 @@ func benchSystemAndSnapshot(b *testing.B) (*core.System, *compiled.Snapshot) {
 }
 
 func BenchmarkPredictSystem(b *testing.B) {
-	sys, _ := benchSystemAndSnapshot(b)
+	sys, _ := benchSystemAndSnapshot(b, features.Words)
 	urls := servingURLs(256)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -419,7 +420,7 @@ func BenchmarkPredictSystem(b *testing.B) {
 }
 
 func BenchmarkPredictSnapshot(b *testing.B) {
-	_, snap := benchSystemAndSnapshot(b)
+	_, snap := benchSystemAndSnapshot(b, features.Words)
 	urls := servingURLs(256)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -431,7 +432,20 @@ func BenchmarkPredictSnapshot(b *testing.B) {
 // BenchmarkPredictSnapshotScores is the engine's actual hot path: raw
 // score arrays, no prediction-slice allocation at all.
 func BenchmarkPredictSnapshotScores(b *testing.B) {
-	_, snap := benchSystemAndSnapshot(b)
+	_, snap := benchSystemAndSnapshot(b, features.Words)
+	urls := servingURLs(256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = snap.Scores(urls[i%len(urls)])
+	}
+}
+
+// BenchmarkPredictSnapshotScoresTrigram is the same hot path on the
+// cascade's slow tier, NB/trigram, which scores through the trigram
+// kernel.
+func BenchmarkPredictSnapshotScoresTrigram(b *testing.B) {
+	_, snap := benchSystemAndSnapshot(b, features.Trigrams)
 	urls := servingURLs(256)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -444,7 +458,7 @@ func BenchmarkPredictSnapshotScores(b *testing.B) {
 // that need byte rewriting during normalization; pooled scratch keeps
 // it at 0 allocs/op too.
 func BenchmarkPredictSnapshotScoresRewrite(b *testing.B) {
-	_, snap := benchSystemAndSnapshot(b)
+	_, snap := benchSystemAndSnapshot(b, features.Words)
 	urls := make([]string, 256)
 	for i := range urls {
 		urls[i] = fmt.Sprintf("HTTP://WWW.Beispiel-Seite%d.DE/Nachrichten/Artikel%%31%d.html", i%173, i)
@@ -457,7 +471,7 @@ func BenchmarkPredictSnapshotScoresRewrite(b *testing.B) {
 }
 
 func BenchmarkClassifyBatchUncached(b *testing.B) {
-	_, snap := benchSystemAndSnapshot(b)
+	_, snap := benchSystemAndSnapshot(b, features.Words)
 	eng := serve.New(snap, serve.Options{CacheCapacity: 0})
 	urls := servingURLs(1024)
 	b.ReportAllocs()
@@ -469,7 +483,7 @@ func BenchmarkClassifyBatchUncached(b *testing.B) {
 }
 
 func BenchmarkClassifyBatchCached(b *testing.B) {
-	_, snap := benchSystemAndSnapshot(b)
+	_, snap := benchSystemAndSnapshot(b, features.Words)
 	eng := serve.New(snap, serve.Options{CacheCapacity: 4096})
 	urls := servingURLs(1024)
 	eng.ClassifyBatch(urls) // warm the cache, as a steady-state frontier would
@@ -688,7 +702,7 @@ func BenchmarkBatcherClassifyBatch(b *testing.B) {
 }
 
 func BenchmarkSnapshotCompile(b *testing.B) {
-	sys, _ := benchSystemAndSnapshot(b)
+	sys, _ := benchSystemAndSnapshot(b, features.Words)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

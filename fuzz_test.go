@@ -2,7 +2,8 @@ package urllangid_test
 
 // FuzzSnapshotEquivalence is the universal-compilation differential
 // harness: for one representative configuration per compiled family
-// (linear, custom, dtree, knn, tld), a trained Classifier and its
+// (linear, custom, dtree, knn, tld), plus NB/trigram, whose snapshot
+// scores through the trigram kernel, a trained Classifier and its
 // compiled Snapshot must classify every input — however malformed —
 // bit-identically. This is the fuzzing arm of the golden equivalence
 // matrix, wired into `make fuzz-smoke` alongside the urlx targets.
@@ -16,18 +17,20 @@ import (
 	"urllangid/internal/datagen"
 )
 
-// fuzzFamilies names one configuration per compiled mode. kNN keeps the
+// fuzzFamilies names one configuration per compiled mode, plus the
+// trigram kernel, with the mode each must compile to. kNN keeps the
 // reference sets small through the corpus size, so per-input scoring
 // stays fuzz-friendly.
 var fuzzFamilies = []struct {
-	name string
-	opts urllangid.Options
+	name, mode string
+	opts       urllangid.Options
 }{
-	{"linear", urllangid.Options{Seed: 3}},
-	{"custom", urllangid.Options{Seed: 3, Features: urllangid.CustomFeatures}},
-	{"dtree", urllangid.Options{Seed: 3, Algorithm: urllangid.DecisionTree, Features: urllangid.CustomFeatures}},
-	{"knn", urllangid.Options{Seed: 3, Algorithm: urllangid.KNN}},
-	{"tld", urllangid.Options{Algorithm: urllangid.CcTLDPlus}},
+	{"linear", "linear", urllangid.Options{Seed: 3}},
+	{"trigram", "linear", urllangid.Options{Seed: 3, Features: urllangid.TrigramFeatures}},
+	{"custom", "custom", urllangid.Options{Seed: 3, Features: urllangid.CustomFeatures}},
+	{"dtree", "dtree", urllangid.Options{Seed: 3, Algorithm: urllangid.DecisionTree, Features: urllangid.CustomFeatures}},
+	{"knn", "knn", urllangid.Options{Seed: 3, Algorithm: urllangid.KNN}},
+	{"tld", "tld", urllangid.Options{Algorithm: urllangid.CcTLDPlus}},
 }
 
 type fuzzModel struct {
@@ -62,7 +65,7 @@ func buildFuzzModels(f *testing.F) []fuzzModel {
 				f.Fatalf("%s: %v", fam.name, err)
 			}
 			snap := clf.Compile()
-			if snap.Mode() != fam.name {
+			if snap.Mode() != fam.mode {
 				f.Fatalf("%s compiled to mode %q", fam.name, snap.Mode())
 			}
 			var buf bytes.Buffer

@@ -30,7 +30,12 @@ import (
 // calls into net or net/http. A worker that blocks on a channel while
 // holding the engine mutex stalls every classify request behind it;
 // the serve layer's non-blocking recruitment (select with a default
-// arm under RLock) is the allowed shape and passes.
+// arm under RLock) is the allowed shape and passes. A go or defer
+// statement is judged where its parts run: its function value and
+// arguments are evaluated in place, a go call runs on another
+// goroutine, and a deferred call runs when the function returns —
+// under every lock whose deferred Unlock was registered before it,
+// since deferred calls run last-in first-out.
 //
 // Held-ness is a must-analysis over the syntax tree: a lock counts as
 // held at a point only when every path to that point holds it, so
@@ -102,8 +107,23 @@ func checkLocks(pass *Pass, funcName string, body *ast.BlockStmt) {
 }
 
 // held is the set of lock classes held on every path to a point in a
-// function body. A nil held marks a point no path reaches.
+// function body, plus deferMark+class for each class whose Unlock every
+// path has deferred. A nil held marks a point no path reaches.
 type held map[string]bool
+
+// deferMark prefixes a deferred-Unlock mark in a held set; lock class
+// names contain no space.
+const deferMark = "defer "
+
+// holds reports whether any lock is held.
+func (h held) holds() bool {
+	for c := range h {
+		if !strings.HasPrefix(c, deferMark) {
+			return true
+		}
+	}
+	return false
+}
 
 // meet joins two paths: a class stays held only if both hold it.
 func meet(a, b held) held {
@@ -151,7 +171,9 @@ func (h held) same(o held) bool {
 func (h held) String() string {
 	names := make([]string, 0, len(h))
 	for c := range h {
-		names = append(names, c)
+		if !strings.HasPrefix(c, deferMark) {
+			names = append(names, c)
+		}
 	}
 	sort.Strings(names)
 	return strings.Join(names, ", ")
@@ -339,8 +361,13 @@ func (w *lockWalk) visit(n ast.Node, h held) held {
 	if n == nil || h == nil {
 		return h
 	}
-	if s, ok := n.(ast.Stmt); ok {
-		switch class, pos, kind := lockEvent(w.pass, w.funcName, s); kind {
+	switch s := n.(type) {
+	case *ast.ExprStmt:
+		call, ok := ast.Unparen(s.X).(*ast.CallExpr)
+		if !ok {
+			break
+		}
+		switch class, pos, kind := lockEvent(w.pass, w.funcName, call); kind {
 		case lockAcquire:
 			if !w.quiet {
 				w.acquire(class, pos, h)
@@ -349,8 +376,26 @@ func (w *lockWalk) visit(n ast.Node, h held) held {
 		case lockRelease:
 			return h.with(class, false)
 		}
+	case *ast.DeferStmt:
+		// A deferred Unlock releases nothing here: the lock stays held
+		// until the function returns, and every call deferred after
+		// this one runs before it.
+		if class, _, kind := lockEvent(w.pass, w.funcName, s.Call); kind == lockRelease {
+			return h.with(deferMark+class, true)
+		}
+		if desc, blocking := blockingCall(w.pass, s.Call); blocking && !w.quiet {
+			under := held{}
+			for c := range h {
+				if h[deferMark+c] {
+					under[c] = true
+				}
+			}
+			if len(under) > 0 {
+				w.pass.Reportf(s.Call.Pos(), "%s while holding %s: deferred after that lock's deferred Unlock, it runs first", desc, under)
+			}
+		}
 	}
-	if len(h) > 0 && !w.quiet {
+	if !w.quiet && h.holds() {
 		if desc, pos, blocking := blockingOp(w.pass, n); blocking {
 			w.pass.Reportf(pos, "%s while holding %s", desc, h)
 		}
@@ -365,7 +410,7 @@ func (w *lockWalk) acquire(class string, pos token.Pos, h held) {
 		w.pass.Reportf(pos, "acquiring %s while already holding it: the module's mutexes are not reentrant", class)
 	}
 	for c := range h {
-		if e := (lockEdge{from: c, to: class}); c != class {
+		if e := (lockEdge{from: c, to: class}); c != class && !strings.HasPrefix(c, deferMark) {
 			if _, seen := w.pass.Module.lockEdges[e]; !seen {
 				w.pass.Module.lockEdges[e] = pos
 			}
@@ -383,18 +428,9 @@ func isPanic(e ast.Expr) bool {
 	return ok && id.Name == "panic"
 }
 
-// lockEvent classifies a statement as a lock acquisition or release on
-// a resolvable lock class. Deferred unlocks are deliberately not
-// events: the lock stays held until the function returns.
-func lockEvent(pass *Pass, funcName string, s ast.Stmt) (class string, pos token.Pos, kind lockKind) {
-	es, ok := s.(*ast.ExprStmt)
-	if !ok {
-		return "", token.NoPos, lockNone
-	}
-	call, ok := ast.Unparen(es.X).(*ast.CallExpr)
-	if !ok {
-		return "", token.NoPos, lockNone
-	}
+// lockEvent classifies a call as a lock acquisition or release on a
+// resolvable lock class.
+func lockEvent(pass *Pass, funcName string, call *ast.CallExpr) (class string, pos token.Pos, kind lockKind) {
 	fn := calleeFunc(pass.Info, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return "", token.NoPos, lockNone
@@ -465,9 +501,15 @@ func lockClass(pass *Pass, funcName string, e ast.Expr) (string, bool) {
 // bare channel operations, default-less selects, channel ranges, Wait,
 // Sleep, and network calls. Select-guarded communications (a comm
 // clause of some select) are judged at their SelectStmt and never
-// reach here.
+// reach here. Of a go or defer statement only the function value and
+// the arguments run here; visit judges a deferred call itself.
 func blockingOp(pass *Pass, node ast.Node) (string, token.Pos, bool) {
+	var elsewhere *ast.CallExpr
 	switch x := node.(type) {
+	case *ast.GoStmt:
+		elsewhere = x.Call
+	case *ast.DeferStmt:
+		elsewhere = x.Call
 	case *ast.SelectStmt:
 		for _, cc := range x.Body.List {
 			if cc.(*ast.CommClause).Comm == nil {
@@ -499,22 +541,31 @@ func blockingOp(pass *Pass, node ast.Node) (string, token.Pos, bool) {
 				desc, pos = "channel receive", x.Pos()
 			}
 		case *ast.CallExpr:
-			fn := calleeFunc(pass.Info, x)
-			if fn == nil || fn.Pkg() == nil {
-				return true
-			}
-			switch path := fn.Pkg().Path(); {
-			case path == "net" || path == "net/http":
-				desc, pos = "call into "+path, x.Pos()
-			case path == "sync" && fn.Name() == "Wait":
-				desc, pos = "sync Wait", x.Pos()
-			case path == "time" && fn.Name() == "Sleep":
-				desc, pos = "time.Sleep", x.Pos()
+			if d, ok := blockingCall(pass, x); ok && x != elsewhere {
+				desc, pos = d, x.Pos()
 			}
 		}
 		return desc == ""
 	})
 	return desc, pos, desc != ""
+}
+
+// blockingCall reports whether call itself can block: Wait, Sleep, or
+// a call into net or net/http.
+func blockingCall(pass *Pass, call *ast.CallExpr) (string, bool) {
+	fn := calleeFunc(pass.Info, call)
+	if fn == nil || fn.Pkg() == nil {
+		return "", false
+	}
+	switch path := fn.Pkg().Path(); {
+	case path == "net" || path == "net/http":
+		return "call into " + path, true
+	case path == "sync" && fn.Name() == "Wait":
+		return "sync Wait", true
+	case path == "time" && fn.Name() == "Sleep":
+		return "time.Sleep", true
+	}
+	return "", false
 }
 
 // doneLockOrder resolves the accumulated acquisition graph: any pair

@@ -345,3 +345,46 @@ again:
 		goto again
 	}
 }
+
+// The shapes below pin where go and defer statements run: the function
+// value and the arguments in place, the call itself on another
+// goroutine or when the function returns.
+
+type T struct {
+	mu sync.Mutex
+	wg sync.WaitGroup
+	ch chan int
+}
+
+func use(int) {}
+
+// goWait: the Wait runs on a new goroutine, not under the lock.
+func goWait(t *T) {
+	t.mu.Lock()
+	go t.wg.Wait()
+	t.mu.Unlock()
+}
+
+// deferWaitAfterUnlock: the deferred Wait runs after the explicit
+// Unlock.
+func deferWaitAfterUnlock(t *T) {
+	t.mu.Lock()
+	defer t.wg.Wait()
+	t.mu.Unlock()
+}
+
+// goReceiveArg: a go statement's arguments are evaluated in place, so
+// the receive blocks under the lock.
+func goReceiveArg(t *T) {
+	t.mu.Lock()
+	go use(<-t.ch) // want "channel receive while holding"
+	t.mu.Unlock()
+}
+
+// deferWaitBeforeDeferredUnlock: deferred calls run last-in first-out,
+// so the Wait runs before the deferred Unlock, with the lock held.
+func deferWaitBeforeDeferredUnlock(t *T) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	defer t.wg.Wait() // want "sync Wait while holding .*lockorder.T.mu: deferred after"
+}

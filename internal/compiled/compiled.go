@@ -5,8 +5,9 @@
 //   - the linear family (Naive Bayes, Relative Entropy, Maximum Entropy)
 //     packs its five per-language weight vectors into one contiguous,
 //     language-interleaved slice keyed by token ID, resolved through an
-//     open-addressing string table (word, trigram and raw-trigram
-//     features) or fed by the dense custom-feature extractor;
+//     open-addressing string table (word and raw-trigram features), a
+//     dense trigram index over the same table (trigram features, see
+//     trigram.go) or fed by the dense custom-feature extractor;
 //   - decision trees flatten into per-language node arrays (feature,
 //     threshold, child indices, precomputed leaf scores) walked without
 //     pointer chasing;
@@ -36,11 +37,11 @@ import (
 	"urllangid/internal/langid"
 	"urllangid/internal/maxent"
 	"urllangid/internal/nb"
-	"urllangid/internal/ngram"
 	"urllangid/internal/relent"
 	"urllangid/internal/strtab"
 	"urllangid/internal/tldbase"
 	"urllangid/internal/urlx"
+	"urllangid/internal/vecspace"
 )
 
 // mode selects the compiled scoring strategy. The numbering is part of
@@ -88,6 +89,11 @@ type Snapshot struct {
 	// table resolves tokens (or trigrams) to IDs for the word/trigram
 	// feature families.
 	table strtab.Table
+	// tri is the trigram kernel's code → ID+1 index, derived from table
+	// for normal-form trigram snapshots and nil otherwise. FromSystem
+	// builds it; a flat snapshot builds it in its deferred verification
+	// pass, once the table is known to be sound.
+	tri *trigramIndex
 	// custom is the streaming custom-feature extractor for the custom
 	// families (shared with the source system when compiled in-process,
 	// rebuilt from the trained dictionary when loaded from disk).
@@ -120,12 +126,32 @@ type scratch struct {
 	// everything derived from them alias it (or the raw URL) and are
 	// only valid until the next use of the same scratch.
 	norm []byte
-	pad  []byte   // ngram.VisitTrigrams padding buffer
 	ids  []uint32 // raw token IDs before run-length encoding
 	// feat holds the custom-extraction buffers and the run-length
 	// encoder output (features.Scratch.Runs) the modes score from.
 	feat features.Scratch
 	hits []knnHit
+	// marks (one bit per ID) and counts (one per ID) are the trigram
+	// kernel's bitmap, sized by newScratch and all zero between calls;
+	// idx and val hold the vector it reads out of them.
+	marks  []uint64
+	counts []uint32
+	idx    []uint32
+	val    []float32
+}
+
+// newScratch is the scratch pool's constructor. A trigram-kernel
+// snapshot's scratch gets its bitmap here, off the scoring path: dim
+// bits and dim uint32 counts (a trained trigram vocabulary has at most
+// 27³ entries, so at most 308 words and 77 KB). The counts are uint32
+// because a /v1/stream line may be a mebibyte long.
+func (s *Snapshot) newScratch() any {
+	sc := new(scratch)
+	if s.tri != nil {
+		sc.marks = make([]uint64, (s.dim+63)/64)
+		sc.counts = make([]uint32, s.dim)
+	}
+	return sc
 }
 
 // FromSystem compiles sys into a Snapshot. Every trainable
@@ -133,7 +159,7 @@ type scratch struct {
 // trainer can produce (mixed model families, an unknown extractor).
 func FromSystem(sys *core.System) *Snapshot {
 	s := &Snapshot{cfg: sys.Config}
-	s.pool.New = func() any { return new(scratch) }
+	s.pool.New = s.newScratch
 	if !sys.Config.Algo.NeedsTraining() {
 		s.mode = modeTLD
 		s.baseline = baselineFor(sys.Config.Algo)
@@ -147,6 +173,7 @@ func FromSystem(sys *core.System) *Snapshot {
 	case *features.TrigramExtractor:
 		s.kind = features.Trigrams
 		s.table = strtab.New(ext.Vocab().Names())
+		s.tri = buildTrigramIndex(&s.table)
 	case *features.RawTrigramExtractor:
 		s.kind = features.Trigrams
 		s.raw = true
@@ -336,8 +363,9 @@ func (s *Snapshot) scoreInput(input string, sc *scratch) [langid.NumLanguages]fl
 	// Feature extraction through the streaming layer: the custom
 	// families extract densely (the tree walk reads the dense form
 	// directly; the other modes score its sparse compression), the
-	// token families stream IDs through the string table into the
-	// shared run-length encoder.
+	// normal-form trigram family runs the trigram kernel, and the word
+	// and raw-trigram families stream IDs through the string table into
+	// the shared run-length encoder.
 	if s.isCustom() {
 		if s.mode == modeDTree {
 			return s.dtreeScores(s.custom.ExtractDense(&sc.feat, input), nil, nil)
@@ -349,17 +377,22 @@ func (s *Snapshot) scoreInput(input string, sc *scratch) [langid.NumLanguages]fl
 		return s.linearScores(sp.Idx, sp.Val)
 	}
 
-	sc.ids = sc.ids[:0]
-	if s.raw {
-		features.VisitRawTrigrams(input, func(g string) {
-			if id, ok := s.table.Lookup(g); ok {
-				sc.ids = append(sc.ids, id)
-			}
-		})
+	var sp vecspace.Sparse
+	if s.kind == features.Trigrams && !s.raw {
+		sp = s.trigramRuns(input, sc)
 	} else {
-		s.collectTokens(input, sc)
+		sc.ids = sc.ids[:0]
+		if s.raw {
+			features.VisitRawTrigrams(input, func(g string) {
+				if id, ok := s.table.Lookup(g); ok {
+					sc.ids = append(sc.ids, id)
+				}
+			})
+		} else {
+			s.collectTokens(input, sc)
+		}
+		sp = sc.feat.Runs(sc.ids)
 	}
-	sp := sc.feat.Runs(sc.ids)
 
 	switch s.mode {
 	case modeDTree:
@@ -371,19 +404,11 @@ func (s *Snapshot) scoreInput(input string, sc *scratch) [langid.NumLanguages]fl
 	}
 }
 
-// collectTokens streams the tokens (or their padded trigrams) of a URL
-// in normal form into sc.ids via the table.
+// collectTokens streams the tokens of a URL in normal form into sc.ids
+// via the table.
 func (s *Snapshot) collectTokens(norm string, sc *scratch) {
 	host, path := urlx.SplitNormalized(norm)
 	emit := func(tok string) {
-		if s.kind == features.Trigrams {
-			ngram.VisitTrigrams(&sc.pad, tok, func(g string) {
-				if id, ok := s.table.Lookup(g); ok {
-					sc.ids = append(sc.ids, id)
-				}
-			})
-			return
-		}
 		if id, ok := s.table.Lookup(tok); ok {
 			sc.ids = append(sc.ids, id)
 		}

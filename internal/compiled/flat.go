@@ -19,7 +19,9 @@ package compiled
 //     deferred O(model) pass once: every section payload is checked
 //     against its directory digest, and the structural invariants the
 //     hot path relies on — string-table probe reachability, tree
-//     preorder termination, kNN CSR bounds — are validated. A snapshot
+//     preorder termination, kNN CSR bounds — are validated. A trigram
+//     snapshot also derives its trigram index here, from the validated
+//     table, so the file format carries no extra section. A snapshot
 //     that fails verification panics on Classify (the only channel a
 //     hot-path method has) with the underlying corruption error;
 //     callers that want an error instead probe Verify first.
@@ -190,7 +192,7 @@ func LoadFlat(f *flat.File, mapping *flat.Mapping) (*Snapshot, error) {
 	}
 
 	s := &Snapshot{cfg: meta.Config, mode: mode(meta.ModeID), kind: features.Kind(meta.Kind), raw: meta.Raw, dim: meta.Dim}
-	s.pool.New = func() any { return new(scratch) }
+	s.pool.New = s.newScratch
 	if s.mode < modeCount || s.mode > modeTLD {
 		return nil, fmt.Errorf("compiled: unknown flat snapshot mode %d", meta.ModeID)
 	}
@@ -393,6 +395,9 @@ func (s *Snapshot) verifyFlat() error {
 			if err := s.table.Validate(); err != nil {
 				return fmt.Errorf("compiled: %w", err)
 			}
+		}
+		if s.kind == features.Trigrams && !s.raw {
+			s.tri = buildTrigramIndex(&s.table)
 		}
 	}
 	switch s.mode {

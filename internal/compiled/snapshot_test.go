@@ -75,7 +75,9 @@ var systemConfigs = []struct {
 	{core.Config{Algo: core.DecisionTree, Features: features.CustomSelected, Seed: 1}, "dtree"},
 	{core.Config{Algo: core.DecisionTree, Features: features.Custom, Seed: 1}, "dtree"},
 	{core.Config{Algo: core.DecisionTree, Features: features.Words, Seed: 1}, "dtree"},
+	{core.Config{Algo: core.DecisionTree, Features: features.Trigrams, Seed: 1}, "dtree"},
 	{core.Config{Algo: core.KNN, Features: features.Words, Seed: 1, KNNMaxReference: 500}, "knn"},
+	{core.Config{Algo: core.KNN, Features: features.Trigrams, Seed: 1, KNNMaxReference: 500}, "knn"},
 	{core.Config{Algo: core.KNN, Features: features.CustomSelected, Seed: 1, KNNMaxReference: 500}, "knn"},
 	{core.Config{Algo: core.NaiveBayes, Features: features.Trigrams, RawTrigrams: true, Seed: 1}, "linear"},
 	{core.Config{Algo: core.CcTLD}, "tld"},

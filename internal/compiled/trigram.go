@@ -1,0 +1,100 @@
+package compiled
+
+// The trigram kernel: a normal-form trigram snapshot turns a URL into
+// its sparse trigram vector without hashing, probing, comparing or
+// sorting a single gram. Every token urlx.VisitTokens emits is
+// [a-z]{2,}, so each padded trigram of ' '+token+' ' is three base-27
+// digits (' ' is 0, 'a'..'z' are 1..26). A rolling code walks the token
+// once; a dense index derived from the string table turns each code
+// into the table's ID; a bitmap with per-ID counts collects the IDs and
+// is read out in ascending order. The vector is the one
+// features.Scratch.Runs builds from the same IDs — ascending unique
+// indices, float32 counts — so every mode scores it bit-identically.
+
+import (
+	"math/bits"
+	"strings"
+
+	"urllangid/internal/strtab"
+	"urllangid/internal/urlx"
+	"urllangid/internal/vecspace"
+)
+
+// trigramAlphabet lists the base-27 digits in order: a padded trigram
+// of a [a-z]{2,} token draws every byte from it.
+const trigramAlphabet = " abcdefghijklmnopqrstuvwxyz"
+
+// trigramCodes is the number of base-27 trigram codes.
+const trigramCodes = 27 * 27 * 27
+
+// trigramIndex maps a trigram's base-27 code to its table ID plus one;
+// 0 marks a trigram outside the vocabulary.
+type trigramIndex [trigramCodes]uint32
+
+// buildTrigramIndex indexes every table entry that is a trigram over
+// ' ' and 'a'..'z'. Other entries can never be emitted by the kernel
+// and stay unindexed.
+func buildTrigramIndex(t *strtab.Table) *trigramIndex {
+	ix := new(trigramIndex)
+	blob, offs := t.Blob(), t.Offsets()
+	for id := 0; id+1 < len(offs); id++ {
+		g := blob[offs[id]:offs[id+1]]
+		if len(g) != 3 {
+			continue
+		}
+		code := 0
+		for _, c := range g {
+			d := strings.IndexByte(trigramAlphabet, c)
+			if d < 0 {
+				code = -1
+				break
+			}
+			code = code*27 + d
+		}
+		if code >= 0 {
+			ix[code] = uint32(id) + 1
+		}
+	}
+	return ix
+}
+
+// trigramRuns is the kernel: the sparse trigram vector of a URL in
+// normal form, aliasing sc. It clears each bitmap word and count as it
+// reads them out, so the scratch goes back to the pool zeroed.
+//
+//urllangid:hotpath
+func (s *Snapshot) trigramRuns(norm string, sc *scratch) vecspace.Sparse {
+	host, path := urlx.SplitNormalized(norm)
+	mark := func(tok string) {
+		code := uint32(tok[0] - 'a' + 1)
+		for i := 1; i <= len(tok); i++ {
+			var d uint32 // the closing pad
+			if i < len(tok) {
+				d = uint32(tok[i] - 'a' + 1)
+			}
+			code = code%(27*27)*27 + d
+			if id := s.tri[code]; id != 0 {
+				id--
+				sc.counts[id]++
+				sc.marks[id/64] |= 1 << (id % 64)
+			}
+		}
+	}
+	urlx.VisitTokens(host, mark)
+	urlx.VisitTokens(path, mark)
+
+	sc.idx, sc.val = sc.idx[:0], sc.val[:0]
+	for w, word := range sc.marks {
+		if word == 0 {
+			continue
+		}
+		sc.marks[w] = 0
+		for ; word != 0; word &= word - 1 {
+			id := uint32(w*64 + bits.TrailingZeros64(word))
+			sc.idx = append(sc.idx, id)
+			sc.val = append(sc.val, float32(sc.counts[id]))
+			sc.counts[id] = 0
+		}
+	}
+	return vecspace.Sparse{Idx: sc.idx, Val: sc.val}
+}

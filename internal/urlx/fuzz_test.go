@@ -8,7 +8,9 @@ import (
 
 // FuzzNormalizeInto pins the scratch-buffer fast path to Normalize:
 // identical output on every input, including when the buffer is reused
-// (and therefore dirty) across calls.
+// (and therefore dirty) across calls. It also pins the precondition of
+// the compiled snapshots' trigram kernel: every token VisitTokens emits
+// from a normal form's host and path is [a-z]{2,}.
 func FuzzNormalizeInto(f *testing.F) {
 	seeds := []string{
 		"http://www.internetwordstats.com/africa2.htm",
@@ -32,6 +34,16 @@ func FuzzNormalizeInto(f *testing.F) {
 		}
 		if got := NormalizeInto(&buf, a); got != wantA {
 			t.Fatalf("second reuse NormalizeInto(%q) = %q, Normalize = %q", a, got, wantA)
+		}
+		for _, norm := range []string{wantA, wantB} {
+			check := func(tok string) {
+				if len(tok) < 2 || strings.Trim(tok, "abcdefghijklmnopqrstuvwxyz") != "" {
+					t.Fatalf("VisitTokens over the normal form %q emitted %q", norm, tok)
+				}
+			}
+			host, path := SplitNormalized(norm)
+			VisitTokens(host, check)
+			VisitTokens(path, check)
 		}
 	})
 }
