@@ -53,14 +53,16 @@ import (
 	"unsafe"
 )
 
-// specialTokens are removed during tokenisation per §3.1 of the paper.
-var specialTokens = map[string]struct{}{
-	"www":   {},
-	"index": {},
-	"html":  {},
-	"htm":   {},
-	"http":  {},
-	"https": {},
+// isSpecial reports whether tok, already lower-cased, is one of the
+// words removed during tokenisation per §3.1 of the paper. A switch
+// compares lengths before bytes and hashes nothing, where a map probe
+// hashed every token.
+func isSpecial(tok string) bool {
+	switch tok {
+	case "www", "index", "html", "htm", "http", "https":
+		return true
+	}
+	return false
 }
 
 // Parts is the decomposition of a single URL. All fields are lower-case.
@@ -331,7 +333,7 @@ func VisitTokens(s string, fn func(tok string)) {
 				// the serving path tokenises are already lower-case.
 				tok = strings.ToLower(tok) //urllangid:ignore hotpathalloc guarded cold branch, normalized serving input is never upper-case
 			}
-			if _, special := specialTokens[tok]; !special {
+			if !isSpecial(tok) {
 				fn(tok)
 			}
 		}

@@ -257,6 +257,16 @@ func TestTokenizeSpecialWords(t *testing.T) {
 	}
 }
 
+// TestTokenizeSpecialWordsAnyCase checks the stop words are matched
+// after lower-casing and as whole tokens only: a longer token that
+// starts with one is kept.
+func TestTokenizeSpecialWordsAnyCase(t *testing.T) {
+	toks := Tokenize("WWW.Index.HTML/htm/HTTP/https/wwwx/htmls/indexes")
+	if want := []string{"wwwx", "htmls", "indexes"}; !reflect.DeepEqual(toks, want) {
+		t.Errorf("Tokenize = %v, want %v", toks, want)
+	}
+}
+
 func TestTokenizeMinLength(t *testing.T) {
 	toks := Tokenize("a.bb.c.dd")
 	if !reflect.DeepEqual(toks, []string{"bb", "dd"}) {
@@ -290,7 +300,7 @@ func TestTokensAreLowerLetters(t *testing.T) {
 					return false
 				}
 			}
-			if _, special := specialTokens[tok]; special {
+			if isSpecial(tok) {
 				return false
 			}
 		}
