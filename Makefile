@@ -31,11 +31,12 @@ ESCAPE_GO_VERSION ?= go1.24
 # the modelfile package fuzzes ReadBytes, the reader every model file
 # goes through (an error or exactly one model, never a panic).
 # The serve package pins its strict request parsers to encoding/json
-# (same result and error text for every body and stream line) and
-# sends raw bodies through both serving handlers (no panic; valid JSON
-# or a 4xx).
+# (same result and error text for every body and stream line), sends
+# raw bodies through both serving handlers (no panic; valid JSON or a
+# 4xx), and holds the result cache's indexed CLOCK to a map-based
+# reference, hit for hit.
 URLX_FUZZ := FuzzParseConsistency FuzzNormalizeInto FuzzHostAgainstNetURL
-SERVE_FUZZ := FuzzDecodeClassify FuzzStreamLine FuzzClassifyHandler FuzzStreamHandler
+SERVE_FUZZ := FuzzDecodeClassify FuzzStreamLine FuzzClassifyHandler FuzzStreamHandler FuzzCacheClock
 
 # The committed public API surface: declaration lines distilled from
 # `go doc -all` (sections start at CONSTANTS/...; doc prose is indented

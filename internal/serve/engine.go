@@ -14,6 +14,7 @@
 package serve
 
 import (
+	"hash/maphash"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -150,8 +151,9 @@ func (e *Engine) Classify(rawURL string) Result {
 	return out[0]
 }
 
-// classify scores one URL through the cache. It reads no clock and
-// records nothing: the call it belongs to accounts for it.
+// classify scores one URL through the cache, hashing its key once for
+// both the lookup and the insert. It reads no clock and records
+// nothing: the call it belongs to accounts for it.
 func (e *Engine) classify(rawURL string) Result {
 	r := Result{URL: rawURL}
 	if e.cache == nil {
@@ -162,7 +164,8 @@ func (e *Engine) classify(rawURL string) Result {
 	if e.keyScorer != nil {
 		key = e.keyScorer.CacheKey(rawURL)
 	}
-	scores, ok := e.cache.get(key)
+	h := maphash.String(e.cache.seed, key)
+	scores, ok := e.cache.get(h, key)
 	if ok {
 		r.Result, r.Cached = langid.NewResult(scores), true
 		return r
@@ -175,7 +178,7 @@ func (e *Engine) classify(rawURL string) Result {
 		scores = e.pred.Scores(rawURL)
 	}
 	r.Result = langid.NewResult(scores)
-	e.cache.put(key, scores)
+	e.cache.put(h, key, scores)
 	return r
 }
 

@@ -148,13 +148,13 @@ func TestCacheEviction(t *testing.T) {
 	c := newCache(1, 4)
 	var s [langid.NumLanguages]float64
 	for i := 0; i < 16; i++ {
-		c.put(fmt.Sprintf("k%d", i), s)
+		cachePut(c, fmt.Sprintf("k%d", i), s)
 	}
 	if n := c.len(); n != 4 {
 		t.Errorf("cache grew to %d entries, capacity 4", n)
 	}
 	// The most recently inserted key must have survived.
-	if _, ok := c.get("k15"); !ok {
+	if _, ok := cacheGet(c, "k15"); !ok {
 		t.Error("latest insert evicted")
 	}
 }
@@ -162,14 +162,14 @@ func TestCacheEviction(t *testing.T) {
 func TestCacheSecondChance(t *testing.T) {
 	c := newCache(1, 2)
 	var s [langid.NumLanguages]float64
-	c.put("hot", s)
-	c.put("cold", s)
-	c.get("hot") // referenced: survives one eviction round
-	c.put("new", s)
-	if _, ok := c.get("hot"); !ok {
+	cachePut(c, "hot", s)
+	cachePut(c, "cold", s)
+	cacheGet(c, "hot") // referenced: survives one eviction round
+	cachePut(c, "new", s)
+	if _, ok := cacheGet(c, "hot"); !ok {
 		t.Error("referenced entry evicted before unreferenced one")
 	}
-	if _, ok := c.get("cold"); ok {
+	if _, ok := cacheGet(c, "cold"); ok {
 		t.Error("unreferenced entry survived")
 	}
 }

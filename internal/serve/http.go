@@ -341,7 +341,11 @@ func (h *handler) classify(w http.ResponseWriter, r *http.Request) {
 		b = appendResult(b, res)
 	}
 	b = append(b, "]}\n"...)
+	// The whole body is in hand, so its length goes in the header:
+	// net/http would otherwise send a body over its 2 KiB buffer
+	// chunked, in one more write.
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(b)
 	eb.b = b

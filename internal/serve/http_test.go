@@ -101,6 +101,25 @@ func TestHTTPClassifyBatchAndCacheFlag(t *testing.T) {
 	}
 }
 
+// TestHTTPClassifyContentLength checks that a batch response larger
+// than net/http's 2 KiB buffer arrives with its length, not chunked.
+func TestHTTPClassifyContentLength(t *testing.T) {
+	srv, _ := newTestServer(t, Options{CacheCapacity: 128})
+	resp := postJSON(t, srv.URL+"/v1/classify", map[string][]string{"urls": testURLs(64)})
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) <= 2048 {
+		t.Fatalf("a %d-byte response does not pass net/http's 2 KiB buffer", len(body))
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("Content-Length %d, Transfer-Encoding %v for a %d-byte body",
+			resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+}
+
 func TestHTTPClassifyErrors(t *testing.T) {
 	srv, _ := newTestServer(t, Options{})
 	resp, err := http.Post(srv.URL+"/v1/classify", "application/json", strings.NewReader("{not json"))
