@@ -200,7 +200,7 @@ func run(args []string, out io.Writer) error {
 	})
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 0, "batch worker count per model (0 = GOMAXPROCS)")
-	cacheCap := fs.Int("cache", 1<<20, "result cache capacity in entries per model (0 disables)")
+	cacheCap := fs.Int("cache", 1<<20, "result cache capacity in entries per model; a cached URL costs 104-136 bytes plus the URL (0 disables)")
 	maxBatch := fs.Int("max-batch", serve.DefaultMaxBatch, "largest /v1/classify batch accepted")
 	drain := fs.Duration("drain", 10*time.Second, "graceful shutdown drain window")
 	slowLog := fs.Duration("slow-log", 0, "trace requests and log those slower than this, with per-stage timings (0 disables)")

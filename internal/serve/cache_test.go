@@ -152,11 +152,10 @@ func diffStep(t *testing.T, c *lruCache, ref *refClock, step int, put bool, h ui
 func TestCacheMatchesReferenceClock(t *testing.T) {
 	for _, capacity := range []int{1, 2, 3, 4, 7, 64, 1000} {
 		c, ref := newCache(1, capacity), newRefClock(capacity)
-		keys := make([]string, 2*capacity+1)
+		keys := testURLs(2*capacity + 1)
 		hashes := make([]uint64, len(keys))
-		for i := range keys {
-			keys[i] = fmt.Sprintf("http://host%d.example/page", i)
-			hashes[i] = maphash.String(c.seed, keys[i])
+		for i, k := range keys {
+			hashes[i] = maphash.String(c.seed, k)
 		}
 		rng := rand.New(rand.NewPCG(uint64(capacity), 19))
 		for step := 0; step < 300_000; step++ {
@@ -340,23 +339,13 @@ func TestCacheConcurrentPutGet(t *testing.T) {
 	checkShardConsistent(t, c)
 }
 
-// benchKeys returns n distinct URL keys, each allocated on its own, as
-// the keys of separate requests are.
-func benchKeys(n int) []string {
-	keys := make([]string, n)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("http://www.nachrichten-seite%d.de/artikel/%d.html", i%997, i)
-	}
-	return keys
-}
-
 // BenchmarkCacheMiss is what a first sighting costs the engine's cache:
-// hash, get and put. It cycles 262,144 keys through a full
-// 131,072-entry, 16-shard cache, so every get misses and every put
-// evicts.
+// hash, get and put. It cycles 262,144 keys, each allocated on its own
+// as the keys of separate requests are, through a full 131,072-entry,
+// 16-shard cache, so every get misses and every put evicts.
 func BenchmarkCacheMiss(b *testing.B) {
 	c := newCache(cacheShards, 1<<17)
-	keys := benchKeys(1 << 18)
+	keys := testURLs(1 << 18)
 	var s [langid.NumLanguages]float64
 	for _, k := range keys {
 		cachePut(c, k, s)
@@ -375,7 +364,7 @@ func BenchmarkCacheMiss(b *testing.B) {
 // resident keys in the same cache.
 func BenchmarkCacheHit(b *testing.B) {
 	c := newCache(cacheShards, 1<<17)
-	keys := benchKeys(10_000)
+	keys := testURLs(10_000)
 	var s [langid.NumLanguages]float64
 	for _, k := range keys {
 		cachePut(c, k, s)

@@ -54,9 +54,8 @@ import (
 )
 
 // isSpecial reports whether tok, already lower-cased, is one of the
-// words removed during tokenisation per §3.1 of the paper. A switch
-// compares lengths before bytes and hashes nothing, where a map probe
-// hashed every token.
+// words removed during tokenisation per §3.1 of the paper. It is a
+// switch, not a map, so the per-token check hashes nothing.
 func isSpecial(tok string) bool {
 	switch tok {
 	case "www", "index", "html", "htm", "http", "https":
