@@ -19,7 +19,7 @@ func TestRunList(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	want := []string{"hotpathalloc", "pinpair", "metriclabel", "modelfileio", "lockorder"}
+	want := []string{"hotpathalloc", "pinpair", "modelfileio", "lockorder"}
 	if !reflect.DeepEqual(names, want) {
 		t.Errorf("-list names %v, want %v:\n%s", names, want, out.String())
 	}

@@ -330,11 +330,15 @@ func debugHandler() http.Handler {
 
 // reloadAll re-opens every slot's backing file, logging per slot. A
 // failed reload (file vanished, corrupt redeploy) keeps the running
-// version serving — reload never downgrades availability.
+// version serving — reload never downgrades availability. A cascade
+// has no file to re-open and is passed over: it resolves its tiers by
+// name, so it serves their reloaded versions by itself.
 func reloadAll(reg *registry.Registry, out io.Writer) {
 	for _, name := range reg.Names() {
 		info, changed, err := reg.Reload(name)
 		switch {
+		case errors.Is(err, serve.ErrNotReloadable):
+			// a cascade: nothing to re-open, nothing to report
 		case err != nil:
 			fmt.Fprintf(out, "SIGHUP reload %s: %v (still serving the loaded version)\n", name, err)
 		case changed:

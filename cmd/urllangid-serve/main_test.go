@@ -343,10 +343,15 @@ func TestReloadAll(t *testing.T) {
 	if _, err := reg.LoadFile("b", snapB); err != nil {
 		t.Fatal(err)
 	}
+	// A cascade has no file of its own: reloadAll passes over it
+	// without a word, and it follows its tiers' reloads by itself.
+	if _, err := reg.InstallCascade("c", "a", "b", cascade.Config{Threshold: 0.5}); err != nil {
+		t.Fatal(err)
+	}
 
 	var log bytes.Buffer
 	reloadAll(reg, &log)
-	if got := log.String(); strings.Count(got, "unchanged") != 2 {
+	if got := log.String(); strings.Count(got, "unchanged") != 2 || strings.Contains(got, "reload c") {
 		t.Errorf("no-op reloadAll log:\n%s", got)
 	}
 
@@ -362,7 +367,10 @@ func TestReloadAll(t *testing.T) {
 	if !strings.Contains(got, "reload a:") || !strings.Contains(got, "still serving") {
 		t.Errorf("missing-file log:\n%s", got)
 	}
-	if len(reg.Models()) != 2 {
+	if strings.Contains(got, "reload c") {
+		t.Errorf("cascade logged as a reload:\n%s", got)
+	}
+	if len(reg.Models()) != 3 {
 		t.Error("a slot vanished on reload failure")
 	}
 	if _, err := reg.Acquire("a"); err != nil {

@@ -1,10 +1,9 @@
 // Package analysis is the project-invariant analyzer suite behind
-// cmd/urllangid-lint: five custom static analyzers that machine-check
+// cmd/urllangid-lint: four custom static analyzers that machine-check
 // contracts the test suite only pins at single points — the zero-
 // allocation classify hot path, the one release shape for a registry
-// lease, the metric label-cardinality rules, the modelfile truncation
-// guards, and the module-wide mutex acquisition order (and the
-// no-blocking-under-lock rule). Typed atomics need no analyzer of
+// lease, the modelfile truncation guards, and the module-wide mutex
+// acquisition order (and the no-blocking-under-lock rule). Typed atomics need no analyzer of
 // their own: go vet's copylocks check flags every copy of one.
 //
 // Every analyzer works on the syntax tree. lockorder's must-analysis
@@ -112,7 +111,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		HotpathAlloc,
 		PinPair,
-		MetricLabel,
 		ModelFileIO,
 		LockOrder,
 	}

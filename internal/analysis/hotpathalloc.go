@@ -189,7 +189,7 @@ func (c *hotpathChecker) check(fd *ast.FuncDecl) {
 			if !c.called[x] {
 				if sel, ok := info.Selections[x]; ok && sel.Kind() == types.MethodVal {
 					pass.Reportf(x.Pos(), "hot path %s creates the method value %s.%s (allocates a receiver-bound closure); call it directly or bind it once at construction",
-						fd.Name.Name, exprString(pass, x.X), x.Sel.Name)
+						fd.Name.Name, types.ExprString(x.X), x.Sel.Name)
 				}
 			}
 

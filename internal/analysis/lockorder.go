@@ -19,9 +19,9 @@ import (
 // the last package, the Done hook reports every cycle in the graph:
 // two call paths that take the same pair of lock classes in opposite
 // orders are a deadlock waiting for the right interleaving
-// (registry.mu vs slot.mu vs obs family locks is exactly the kind of
-// cross-package inversion no single-package check can see). Acquiring
-// a lock class while already holding it is reported immediately — the
+// (registry.mu vs slot.mu, taken in two functions, is exactly the kind
+// of inversion no check of one function can see). Acquiring a lock
+// class while already holding it is reported immediately — the
 // module's mutexes are not reentrant.
 //
 // Second, it flags blocking operations executed while a lock is held:

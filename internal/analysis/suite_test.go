@@ -19,10 +19,6 @@ func TestPinPair(t *testing.T) {
 	analysistest.Run(t, analysis.PinPair, "./testdata/src/pinpair")
 }
 
-func TestMetricLabel(t *testing.T) {
-	analysistest.Run(t, analysis.MetricLabel, "./testdata/src/metriclabel")
-}
-
 func TestModelFileIO(t *testing.T) {
 	analysistest.Run(t, analysis.ModelFileIO, "./testdata/src/modelfileio")
 }

@@ -13,10 +13,10 @@ import (
 // Flush once. One ExpoWriter serves one scrape.
 //
 // The format requires all samples of a family to be grouped under a
-// single HELP/TYPE header — which is exactly why this type exists
-// separately from Registry: the /metrics handler interleaves
-// registry-owned families with per-model families whose value handles
-// live in swappable engines, and both must drive the same writer.
+// single HELP/TYPE header, so a caller writes one family at a time:
+// Family, then every sample of it. The /metrics handler writes the
+// HTTP routes' families and the per-model families, whose values live
+// in swappable engines, through one writer.
 type ExpoWriter struct {
 	w   *bufio.Writer
 	err error
@@ -148,37 +148,4 @@ func escapeHelp(s string) string {
 		return s
 	}
 	return helpEscaper.Replace(s)
-}
-
-// WritePrometheus exposes every family in the registry in registration
-// order, instances in sorted label order.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	x := NewExpoWriter(w)
-	r.Expose(x)
-	return x.Flush()
-}
-
-// Expose writes the registry's families through an existing writer, so
-// callers can interleave registry families with hand-grouped ones in a
-// single scrape.
-func (r *Registry) Expose(x *ExpoWriter) {
-	r.mu.RLock()
-	fams := make([]*family, len(r.families))
-	copy(fams, r.families)
-	r.mu.RUnlock()
-	for _, f := range fams {
-		x.Family(f.name, f.help, f.kind)
-		for _, in := range f.sorted() {
-			switch {
-			case in.c != nil:
-				x.IntSample(f.name, in.labels, in.c.Value())
-			case in.g != nil:
-				x.IntSample(f.name, in.labels, in.g.Value())
-			case in.h != nil:
-				x.HistogramSample(f.name, in.labels, in.h)
-			case in.fn != nil:
-				x.Sample(f.name, in.labels, in.fn())
-			}
-		}
-	}
 }

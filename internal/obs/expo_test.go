@@ -6,21 +6,32 @@ import (
 )
 
 // TestPrometheusGolden pins the exposition text byte-for-byte: family
-// grouping, HELP/TYPE headers, label rendering, sorted instances, and
-// the sparse cumulative histogram sample set.
+// grouping, HELP/TYPE headers, label rendering, and the sparse
+// cumulative histogram sample set.
 func TestPrometheusGolden(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("test_requests_total", "Total requests.", Label{Key: "path", Value: "/b"}).Inc()
-	r.Counter("test_requests_total", "Total requests.", Label{Key: "path", Value: "/a"}).Add(3)
-	r.Gauge("test_in_flight", "In-flight requests.").Set(2)
-	h := r.Histogram("test_latency_seconds", "Latency.", 1, Label{Key: "model", Value: "nb"})
+	var a, b Counter
+	a.Add(3)
+	b.Inc()
+	var g Gauge
+	g.Set(2)
+	h := NewHistogram(1)
 	h.Observe(1) // bucket [1,2)
 	h.Observe(5) // bucket [5,6)
 	h.Observe(5)
 	h.Observe(200) // first sub-bucketed octave: bucket [200,202)
 
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
+	var out strings.Builder
+	x := NewExpoWriter(&out)
+	x.Family("test_requests_total", "Total requests.", KindCounter)
+	x.IntSample("test_requests_total", []Label{{Key: "path", Value: "/a"}}, a.Value())
+	x.IntSample("test_requests_total", []Label{{Key: "path", Value: "/b"}}, b.Value())
+	x.Family("test_in_flight", "In-flight requests.", KindGauge)
+	x.IntSample("test_in_flight", nil, g.Value())
+	x.Family("test_uptime_seconds", "Uptime.", KindGauge)
+	x.Sample("test_uptime_seconds", nil, 41.5)
+	x.Family("test_latency_seconds", "Latency.", KindHistogram)
+	x.HistogramSample("test_latency_seconds", []Label{{Key: "model", Value: "nb"}}, h)
+	if err := x.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	want := `# HELP test_requests_total Total requests.
@@ -30,6 +41,9 @@ test_requests_total{path="/b"} 1
 # HELP test_in_flight In-flight requests.
 # TYPE test_in_flight gauge
 test_in_flight 2
+# HELP test_uptime_seconds Uptime.
+# TYPE test_uptime_seconds gauge
+test_uptime_seconds 41.5
 # HELP test_latency_seconds Latency.
 # TYPE test_latency_seconds histogram
 test_latency_seconds_bucket{model="nb",le="2"} 1
@@ -39,7 +53,7 @@ test_latency_seconds_bucket{model="nb",le="+Inf"} 4
 test_latency_seconds_sum{model="nb"} 211
 test_latency_seconds_count{model="nb"} 4
 `
-	if got := b.String(); got != want {
+	if got := out.String(); got != want {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
@@ -47,11 +61,12 @@ test_latency_seconds_count{model="nb"} 4
 // TestPrometheusScaledHistogram checks the raw→exposed unit conversion:
 // nanosecond recordings exposed as seconds.
 func TestPrometheusScaledHistogram(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat_seconds", "Latency.", 1e-9)
+	h := NewHistogram(1e-9)
 	h.Observe(2_000_000) // 2ms in ns
 	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
+	x := NewExpoWriter(&b)
+	x.HistogramSample("lat_seconds", nil, h)
+	if err := x.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -70,10 +85,10 @@ func TestPrometheusScaledHistogram(t *testing.T) {
 }
 
 func TestLabelEscaping(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("esc_total", "Escapes.", Label{Key: "v", Value: "a\"b\\c\nd"}).Inc()
 	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
+	x := NewExpoWriter(&b)
+	x.IntSample("esc_total", []Label{{Key: "v", Value: "a\"b\\c\nd"}}, 1)
+	if err := x.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), `esc_total{v="a\"b\\c\nd"} 1`) {

@@ -2,19 +2,22 @@ package obs
 
 import (
 	"io"
-	"strings"
 	"sync"
 	"testing"
 )
 
 // TestConcurrentRecordAndScrape is the -race contract: N writers
-// hammering counters, gauges and a histogram while a scraper
-// continuously exposes the registry must be data-race-free, and no
-// recorded increment may be lost.
+// hammering counters, gauges and histograms while a scraper
+// continuously exposes them must be data-race-free, and no recorded
+// increment may be lost.
 func TestConcurrentRecordAndScrape(t *testing.T) {
-	r := NewRegistry()
 	const writers = 8
 	const perWriter = 5000
+	// Half the writers share one set of values, half the other.
+	var counters [2]Counter
+	var gauges [2]Gauge
+	hists := [2]*Histogram{NewHistogram(1), NewHistogram(1)}
+	labels := [2][]Label{{{Key: "worker", Value: "a"}}, {{Key: "worker", Value: "b"}}}
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -26,7 +29,20 @@ func TestConcurrentRecordAndScrape(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if err := r.WritePrometheus(io.Discard); err != nil {
+				x := NewExpoWriter(io.Discard)
+				x.Family("test_ops_total", "ops", KindCounter)
+				for i := range counters {
+					x.IntSample("test_ops_total", labels[i], counters[i].Value())
+				}
+				x.Family("test_depth", "depth", KindGauge)
+				for i := range gauges {
+					x.IntSample("test_depth", labels[i], gauges[i].Value())
+				}
+				x.Family("test_latency", "lat", KindHistogram)
+				for i := range hists {
+					x.HistogramSample("test_latency", labels[i], hists[i])
+				}
+				if err := x.Flush(); err != nil {
 					t.Errorf("scrape: %v", err)
 					return
 				}
@@ -37,12 +53,7 @@ func TestConcurrentRecordAndScrape(t *testing.T) {
 	for w := 0; w < writers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			// Half the writers share one label set, half get their own —
-			// exercising both handle reuse and concurrent instance creation.
-			label := Label{Key: "worker", Value: []string{"a", "b"}[w%2]}
-			c := r.Counter("test_ops_total", "ops", label)
-			g := r.Gauge("test_depth", "depth", label)
-			h := r.Histogram("test_latency", "lat", 1, label)
+			c, g, h := &counters[w%2], &gauges[w%2], hists[w%2]
 			for i := 0; i < perWriter; i++ {
 				c.Inc()
 				g.Add(1)
@@ -51,41 +62,30 @@ func TestConcurrentRecordAndScrape(t *testing.T) {
 			}
 		}(w)
 	}
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) { // concurrent get-or-create of the same handles
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				r.Counter("test_ops_total", "ops", Label{Key: "worker", Value: "a"})
-			}
-		}(w)
-	}
 	wg.Wait()
 	close(stop)
 	<-scraperDone
 
-	total := r.Counter("test_ops_total", "ops", Label{Key: "worker", Value: "a"}).Value() +
-		r.Counter("test_ops_total", "ops", Label{Key: "worker", Value: "b"}).Value()
-	if total != writers*perWriter {
+	if total := counters[0].Value() + counters[1].Value(); total != writers*perWriter {
 		t.Errorf("lost increments: %d, want %d", total, writers*perWriter)
 	}
-	ha := r.Histogram("test_latency", "lat", 1, Label{Key: "worker", Value: "a"})
-	hb := r.Histogram("test_latency", "lat", 1, Label{Key: "worker", Value: "b"})
-	if n := ha.Count() + hb.Count(); n != writers*perWriter {
+	if n := hists[0].Count() + hists[1].Count(); n != writers*perWriter {
 		t.Errorf("lost observations: %d, want %d", n, writers*perWriter)
+	}
+	if d := gauges[0].Value() + gauges[1].Value(); d != 0 {
+		t.Errorf("gauges read %d after balanced adds, want 0", d)
 	}
 }
 
-// TestRecordZeroAlloc pins the hot-path contract: recording a sample on
-// a resolved handle never touches the heap.
+// TestRecordZeroAlloc pins the hot-path contract: recording a sample
+// never touches the heap.
 func TestRecordZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed under the race detector")
 	}
-	r := NewRegistry()
-	c := r.Counter("alloc_ops_total", "ops", Label{Key: "m", Value: "x"})
-	g := r.Gauge("alloc_depth", "depth")
-	h := r.Histogram("alloc_latency", "lat", 1e-9)
+	var c Counter
+	var g Gauge
+	h := NewHistogram(1e-9)
 	var tr Trace
 	if avg := testing.AllocsPerRun(1000, func() {
 		c.Inc()
@@ -101,35 +101,5 @@ func TestRecordZeroAlloc(t *testing.T) {
 		_ = h.Quantile(0.99)
 	}); avg > 0 {
 		t.Errorf("Quantile allocates %.2f/op, want 0", avg)
-	}
-}
-
-func TestRegistryKindMismatchPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x_total", "x")
-	defer func() {
-		if recover() == nil {
-			t.Error("gauge request against a counter family did not panic")
-		}
-	}()
-	r.Gauge("x_total", "x")
-}
-
-func TestGaugeFunc(t *testing.T) {
-	r := NewRegistry()
-	v := 41.5
-	r.GaugeFunc("live_value", "read at scrape", func() float64 { return v })
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "live_value 41.5") {
-		t.Errorf("exposition missing func gauge:\n%s", b.String())
-	}
-	v = 42
-	b.Reset()
-	r.WritePrometheus(&b)
-	if !strings.Contains(b.String(), "live_value 42") {
-		t.Errorf("func gauge not re-read at scrape:\n%s", b.String())
 	}
 }

@@ -324,6 +324,13 @@ func (r *Registry) installWith(name string, p serve.Predictor, info serve.ModelI
 	if r.closed.Load() {
 		return serve.ModelInfo{}, fmt.Errorf("registry: closed")
 	}
+	return s.swapIn(p, info, closer, engOpts), nil
+}
+
+// swapIn numbers info as the slot's next version, builds its engine
+// and makes it current; the replaced version starts draining. The
+// caller holds s.mu.
+func (s *slot) swapIn(p serve.Predictor, info serve.ModelInfo, closer func() error, engOpts serve.Options) serve.ModelInfo {
 	info.Version = s.ver.Add(1)
 	info.LoadedAt = time.Now()
 	v := &version{engine: serve.New(p, engOpts), info: info, close: closer}
@@ -332,7 +339,7 @@ func (r *Registry) installWith(name string, p serve.Predictor, info serve.ModelI
 	if old := s.cur.Swap(v); old != nil {
 		old.release()
 	}
-	return info, nil
+	return info
 }
 
 // Reload re-opens the named slot's backing file. If the file's content
@@ -377,22 +384,13 @@ func (r *Registry) Reload(name string) (serve.ModelInfo, bool, error) {
 		snap.Close()
 		return cur.info, false, nil
 	}
-	info := serve.ModelInfo{
-		Name:     name,
-		Model:    snap.Describe(),
-		Mode:     snap.Mode(),
-		Digest:   digest,
-		Path:     cur.info.Path,
-		Version:  s.ver.Add(1),
-		LoadedAt: time.Now(),
-	}
-	v := &version{engine: serve.New(snap, r.opts.Engine), info: info, close: snap.Close}
-	v.releaseFn = v.release
-	v.refs.Store(1)
-	if old := s.cur.Swap(v); old != nil {
-		old.release()
-	}
-	return info, true, nil
+	return s.swapIn(snap, serve.ModelInfo{
+		Name:   name,
+		Model:  snap.Describe(),
+		Mode:   snap.Mode(),
+		Digest: digest,
+		Path:   cur.info.Path,
+	}, snap.Close, r.opts.Engine), true, nil
 }
 
 // Close retires every slot: each current version loses the registry's

@@ -72,7 +72,6 @@ func NewHandler(models Resolver, opts HandlerOptions) http.Handler {
 		models:   models,
 		maxBatch: opts.MaxBatch,
 		start:    time.Now(),
-		metrics:  obs.NewRegistry(),
 		slowLog:  opts.SlowLog,
 	}
 	if h.maxBatch <= 0 {
@@ -83,11 +82,6 @@ func NewHandler(models Resolver, opts HandlerOptions) http.Handler {
 		out = os.Stderr
 	}
 	h.slowLogger = log.New(out, "", log.LstdFlags|log.Lmicroseconds)
-	h.metrics.GaugeFunc("urllangid_uptime_seconds",
-		"Seconds since the HTTP handler started serving.",
-		func() float64 { return time.Since(h.start).Seconds() })
-	h.httpInFlight = h.metrics.Gauge("urllangid_http_in_flight",
-		"HTTP requests currently in the handler, across all routes.")
 	mux := http.NewServeMux()
 	h.route(mux, "POST /v1/classify", h.classify)
 	h.route(mux, "POST /v1/stream", h.stream)
@@ -106,11 +100,25 @@ type handler struct {
 	maxBatch int
 	start    time.Time
 
-	metrics      *obs.Registry
-	httpInFlight *obs.Gauge
-	slowLog      time.Duration
-	slowLogger   *log.Logger
-	lastSlow     atomic.Int64 // unix nanos of the last slow-log line
+	routes     []*routeMetrics // in registration order
+	inFlight   obs.Gauge       // requests in the handler, all routes
+	slowLog    time.Duration
+	slowLogger *log.Logger
+	lastSlow   atomic.Int64 // unix nanos of the last slow-log line
+}
+
+// routeMetrics is one route's share of the HTTP families. Its label
+// values are the route pattern, fixed at registration, and the status
+// codes the route answers with, so the exposition's cardinality is
+// bounded by the route table whatever clients send.
+type routeMetrics struct {
+	path     string
+	duration obs.Histogram // wall time, nanoseconds
+	// codes counts responses by status code. net/http panics on a code
+	// outside 100–999 before the wrapper can count it, so the code
+	// indexes the array directly.
+	codes [1000]obs.Counter
+	slow  obs.Counter // requests over the slow-log threshold
 }
 
 // route registers one endpoint through the instrumentation wrapper.
@@ -123,15 +131,11 @@ func (h *handler) route(mux *http.ServeMux, pattern string, fn http.HandlerFunc)
 	if i := strings.IndexByte(pattern, ' '); i >= 0 {
 		path = pattern[i+1:]
 	}
-	// The path label is the registered route pattern, never the request
-	// URL: cardinality stays bounded by the route table no matter what
-	// clients send.
-	pathLabel := obs.Label{Key: "path", Value: path}
-	durations := h.metrics.Histogram("urllangid_http_request_seconds",
-		"HTTP request wall time by route.", 1e-9, pathLabel)
+	m := &routeMetrics{path: path, duration: obs.Histogram{Scale: 1e-9}}
+	h.routes = append(h.routes, m)
 	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		h.httpInFlight.Add(1)
+		h.inFlight.Add(1)
 		sw := &statusWriter{ResponseWriter: w}
 		var tr *obs.Trace
 		if h.slowLog > 0 {
@@ -140,23 +144,19 @@ func (h *handler) route(mux *http.ServeMux, pattern string, fn http.HandlerFunc)
 		}
 		fn(sw, r)
 		elapsed := time.Since(start)
-		h.httpInFlight.Add(-1)
-		durations.Observe(int64(elapsed))
-		h.metrics.Counter("urllangid_http_requests_total",
-			"HTTP requests served, by route and status code.",
-			pathLabel, obs.Label{Key: "code", Value: strconv.Itoa(sw.status())}).Inc()
+		h.inFlight.Add(-1)
+		m.duration.Observe(int64(elapsed))
+		m.codes[sw.status()].Inc()
 		if h.slowLog > 0 && elapsed >= h.slowLog {
+			m.slow.Inc()
 			h.slowRequest(r, path, sw.status(), elapsed, tr)
 		}
 	})
 }
 
-// slowRequest counts and (sampled) logs one request over the slow-log
-// threshold, with its per-stage breakdown.
+// slowRequest logs, sampled, one request over the slow-log threshold,
+// with its per-stage breakdown.
 func (h *handler) slowRequest(r *http.Request, path string, code int, elapsed time.Duration, tr *obs.Trace) {
-	h.metrics.Counter("urllangid_http_slow_requests_total",
-		"Requests slower than the slow-log threshold, by route.",
-		obs.Label{Key: "path", Value: path}).Inc()
 	// Sampled to about one line per second: a latency storm reports
 	// itself without the logging becoming its own source of load.
 	now := time.Now().UnixNano()
@@ -625,13 +625,52 @@ func (h *handler) readyz(w http.ResponseWriter, _ *http.Request) {
 // HTTP families first, then the per-model families read live from
 // whatever engines the resolver serves right now. Per-model values live
 // inside swappable engines, so the scrape pins each model for the read
-// instead of registering handles a swap would strand.
+// instead of holding handles a swap would strand.
 func (h *handler) metricsPage(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	x := obs.NewExpoWriter(w)
-	h.metrics.Expose(x)
+	h.exposeHTTP(x)
 	h.exposeModels(x)
 	x.Flush()
+}
+
+// exposeHTTP writes the handler's own families: uptime, in-flight and
+// each route's request time, status codes and slow requests. A code
+// appears once a route has answered with it.
+func (h *handler) exposeHTTP(x *obs.ExpoWriter) {
+	x.Family("urllangid_uptime_seconds",
+		"Seconds since the HTTP handler started serving.", obs.KindGauge)
+	x.Sample("urllangid_uptime_seconds", nil, time.Since(h.start).Seconds())
+	x.Family("urllangid_http_in_flight",
+		"HTTP requests currently in the handler, across all routes.", obs.KindGauge)
+	x.IntSample("urllangid_http_in_flight", nil, h.inFlight.Value())
+
+	x.Family("urllangid_http_request_seconds",
+		"HTTP request wall time by route.", obs.KindHistogram)
+	for _, m := range h.routes {
+		x.HistogramSample("urllangid_http_request_seconds",
+			[]obs.Label{{Key: "path", Value: m.path}}, &m.duration)
+	}
+	x.Family("urllangid_http_requests_total",
+		"HTTP requests served, by route and status code.", obs.KindCounter)
+	for _, m := range h.routes {
+		for code := range m.codes {
+			if n := m.codes[code].Value(); n != 0 {
+				x.IntSample("urllangid_http_requests_total", []obs.Label{
+					{Key: "path", Value: m.path},
+					{Key: "code", Value: strconv.Itoa(code)},
+				}, n)
+			}
+		}
+	}
+	x.Family("urllangid_http_slow_requests_total",
+		"Requests slower than the slow-log threshold, by route.", obs.KindCounter)
+	for _, m := range h.routes {
+		if n := m.slow.Value(); n != 0 {
+			x.IntSample("urllangid_http_slow_requests_total",
+				[]obs.Label{{Key: "path", Value: m.path}}, n)
+		}
+	}
 }
 
 func (h *handler) exposeModels(x *obs.ExpoWriter) {

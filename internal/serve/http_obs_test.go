@@ -2,9 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -129,6 +133,132 @@ func TestHTTPMetricsCoverEveryRoute(t *testing.T) {
 		if !strings.Contains(body, "urllangid_http_requests_total"+want+" 1") {
 			t.Errorf("/metrics missing request counter %s", want)
 		}
+	}
+}
+
+// httpRoutes is the route table NewHandler registers, as the path
+// label spells each pattern.
+var httpRoutes = []string{
+	"/v1/classify", "/v1/stream", "/v1/models", "/v1/models/{name}/stats",
+	"/v1/models/{name}/reload", "/healthz", "/readyz", "/stats", "/metrics",
+}
+
+// httpSeries scrapes /metrics and returns the series of the HTTP
+// families: each sample line's name and labels, with a histogram
+// bucket's le label dropped, since which buckets fill is up to timing.
+// It fails the test on a path label outside the route table or a code
+// label that is not a three-digit status.
+func httpSeries(t *testing.T, url string) []string {
+	t.Helper()
+	body, _, _ := getText(t, url+"/metrics")
+	label := regexp.MustCompile(`(\w+)="([^"]*)"`)
+	le := regexp.MustCompile(`,?le="[^"]*"`)
+	code := regexp.MustCompile(`^[1-9][0-9][0-9]$`)
+	var series []string
+	for _, line := range strings.Split(body, "\n") {
+		if !strings.HasPrefix(line, "urllangid_http_") {
+			continue
+		}
+		s := line[:strings.LastIndexByte(line, ' ')]
+		for _, m := range label.FindAllStringSubmatch(s, -1) {
+			switch m[1] {
+			case "path":
+				if !slices.Contains(httpRoutes, m[2]) {
+					t.Errorf("path label %q is not a route pattern: %s", m[2], line)
+				}
+			case "code":
+				if !code.MatchString(m[2]) {
+					t.Errorf("code label %q is not a status code: %s", m[2], line)
+				}
+			}
+		}
+		series = append(series, le.ReplaceAllString(s, ""))
+	}
+	slices.Sort(series)
+	return slices.Compact(series)
+}
+
+// TestHTTPMetricsCardinalityBounded sends two rounds of requests whose
+// request data differs: unknown model names in the query and in the
+// path, an over-cap batch, a bad body, random query keys and headers,
+// and a path no route serves. The HTTP families must carry the same
+// series after each round, because their label values come from the
+// route table and status codes, never from what a client sends.
+func TestHTTPMetricsCardinalityBounded(t *testing.T) {
+	snap, _ := snapshot(t)
+	e := New(snap, Options{CacheCapacity: 64})
+	srv := httptest.NewServer(NewHandler(Static(e, ModelInfo{Model: snap.Describe()}),
+		HandlerOptions{MaxBatch: 2}))
+	defer srv.Close()
+
+	round := func() {
+		k := fmt.Sprintf("k%x", rand.Uint64())
+		for _, c := range []struct {
+			method, path, body string
+			want               int
+		}{
+			{"POST", "/v1/classify?model=" + k, `{"url":"http://a.example/` + k + `"}`, http.StatusNotFound},
+			{"POST", "/v1/stream?model=" + k, "http://a.example/" + k + "\n", http.StatusNotFound},
+			{"GET", "/stats?model=" + k, "", http.StatusNotFound},
+			{"GET", "/v1/models/" + k + "/stats", "", http.StatusNotFound},
+			{"POST", "/v1/models/" + k + "/reload", "", http.StatusNotFound},
+			{"POST", "/v1/classify", `{"urls":["http://a.example/1","http://b.example/2","http://c.example/` + k + `"]}`, http.StatusRequestEntityTooLarge},
+			{"POST", "/v1/classify?" + k + "=" + k, `{"` + k, http.StatusBadRequest},
+			{"GET", "/healthz?" + k + "=" + k, "", http.StatusOK},
+			{"GET", "/" + k, "", http.StatusNotFound},
+		} {
+			req, err := http.NewRequest(c.method, srv.URL+c.path, strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("X-"+k, k)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != c.want {
+				t.Errorf("%s %s = %d, want %d", c.method, c.path, resp.StatusCode, c.want)
+			}
+		}
+	}
+	round()
+	getText(t, srv.URL+"/metrics") // count /metrics itself in both scrapes
+	first := httpSeries(t, srv.URL)
+	round()
+	second := httpSeries(t, srv.URL)
+	if !slices.Equal(first, second) {
+		t.Errorf("HTTP series changed with request data:\n--- first ---\n%s\n--- second ---\n%s",
+			strings.Join(first, "\n"), strings.Join(second, "\n"))
+	}
+}
+
+// nopWriter is a reusable ResponseWriter that discards the response.
+type nopWriter struct{ header http.Header }
+
+func (w *nopWriter) Header() http.Header         { return w.header }
+func (w *nopWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *nopWriter) WriteHeader(int)             {}
+
+// TestRouteWrapperAllocs pins what the route wrapper costs a request
+// on top of its handler: the statusWriter, and no allocation to count
+// the request.
+func TestRouteWrapperAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	h := &handler{}
+	mux := http.NewServeMux()
+	h.route(mux, "GET /noop", func(http.ResponseWriter, *http.Request) {})
+	r := httptest.NewRequest(http.MethodGet, "/noop", nil)
+	wrapped, _ := mux.Handler(r)
+	w := &nopWriter{header: make(http.Header)}
+	if avg := testing.AllocsPerRun(1000, func() { wrapped.ServeHTTP(w, r) }); avg > 1 {
+		t.Errorf("route wrapper allocates %.1f per request, want at most 1 (its statusWriter)", avg)
+	}
+	if n := h.routes[0].codes[http.StatusOK].Value(); n < 1000 {
+		t.Errorf("route counted %d requests with code 200, want at least 1000", n)
 	}
 }
 
