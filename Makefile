@@ -73,8 +73,8 @@ staticcheck:
 	fi
 
 # The project-invariant analyzer suite (hotpathalloc, pinpair,
-# metriclabel, modelfileio, lockorder) built from this repo — no tool
-# fetch, no network: `go run` compiles cmd/urllangid-lint from the
+# modelfileio, lockorder) built from this repo — no tool fetch, no
+# network: `go run` compiles cmd/urllangid-lint from the
 # checkout and checks every package. Each analyzer works on the syntax
 # tree alone. Typed atomics are left to vet's copylocks check, and
 # releases handed out as a func() to the root package's
