@@ -40,9 +40,9 @@
 // two-tier confidence cascade over two -model slots: the fast tier
 // answers every URL and low-confidence or confusable answers are
 // re-scored by the slow tier (see the urllangid.Registry.InstallCascade
-// docs). Cascade tiers resolve by name per request, so reloading a tier
-// file retargets its cascades immediately, and /v1/models/{name}/stats
-// on a cascade reports its escalation rate. Redeploying a model is
+// docs). Reloading a tier file swaps a new version into every cascade
+// over it, which the next request gets, and /v1/models/{name}/stats on
+// a cascade reports its escalation rate. Redeploying a model is
 // atomic and drops no traffic: overwrite its file, then either POST its
 // reload endpoint or send the process SIGHUP to reload every model
 // whose file changed — in-flight requests finish on the old model while
@@ -252,8 +252,8 @@ func run(args []string, out io.Writer) error {
 		SlowLog:  *slowLog,
 	})
 
-	fmt.Fprintf(out, "serving %d model(s) on %s (default %s) — cache %d entries; SIGHUP reloads changed model files\n",
-		len(models), *addr, models[0].name, *cacheCap)
+	fmt.Fprintf(out, "serving %d model(s) on %s (default %s) — cache %d entries per model, cascades uncached; SIGHUP reloads changed model files\n",
+		len(reg.Names()), *addr, models[0].name, *cacheCap)
 
 	// The debug listener is separate from the serving address on
 	// purpose: pprof and expvar expose internals (and CPU profiling can
@@ -331,8 +331,8 @@ func debugHandler() http.Handler {
 // reloadAll re-opens every slot's backing file, logging per slot. A
 // failed reload (file vanished, corrupt redeploy) keeps the running
 // version serving — reload never downgrades availability. A cascade
-// has no file to re-open and is passed over: it resolves its tiers by
-// name, so it serves their reloaded versions by itself.
+// has no file to re-open and is passed over: reloading its tiers
+// swaps in a new cascade version by itself.
 func reloadAll(reg *registry.Registry, out io.Writer) {
 	for _, name := range reg.Names() {
 		info, changed, err := reg.Reload(name)

@@ -615,6 +615,22 @@ func TestCascadeOverHTTP(t *testing.T) {
 	}
 }
 
+// TestRunCountsEverySlot: the startup line counts every slot the
+// server routes to, cascades included. An address that cannot be bound
+// makes run return right after printing it.
+func TestRunCountsEverySlot(t *testing.T) {
+	snapA, _ := writeModelFiles(t, 17)
+	snapB, _ := writeModelFiles(t, 23)
+	var out bytes.Buffer
+	err := run([]string{"-model", "a=" + snapA, "-model", "b=" + snapB, "-cascade", "c=a,b,0.5", "-addr", "127.0.0.1:-1"}, &out)
+	if err == nil {
+		t.Fatal("run bound an invalid address")
+	}
+	if !strings.Contains(out.String(), "serving 3 model(s)") {
+		t.Errorf("startup log does not count three slots:\n%s", out.String())
+	}
+}
+
 // TestRunRejectsBadCascades pins the -cascade startup failures: they
 // surface before the listener binds, so a typo cannot boot a server
 // with a dead slot.

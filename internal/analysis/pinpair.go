@@ -21,14 +21,13 @@ import (
 // Anything else is reported at the call: a release on some paths only,
 // a release that is not deferred, an unchecked error, a discarded,
 // stored, returned or passed-on lease. A function that hands the
-// release to its caller on purpose waives the finding with
+// lease on on purpose waives the finding with
 // //urllangid:ignore pinpair <reason>, as registry.Resolve and the
-// cascade's tier source do.
+// registry's cascade build (leaseTiers) do.
 //
 // The rule sees only Acquire. A release handed out as a func() —
-// Resolve's to the HTTP handlers, the tier source's to the cascade —
-// is checked at run time instead, by the root package's
-// TestNoPinOutlivesItsCall.
+// Resolve's to the HTTP handlers — is checked at run time instead, by
+// the root package's TestNoPinOutlivesItsCall.
 var PinPair = &Analyzer{
 	Name: "pinpair",
 	Doc:  "every registry Acquire is followed by its err != nil return and then defer <lease>.Release()",

@@ -20,17 +20,12 @@
 //     threshold instead, so the cascade still works — just with a
 //     threshold in score units rather than probability units.
 //
-// The cascade holds no tier references itself: a TierProvider pins a
-// tier per call (registry slots refcount their current version), so
-// either tier can be reloaded or swapped mid-stream without the
-// cascade serving a torn or closed snapshot. Both pins are released on
-// every path, including tier-acquisition failures — the pinpair
-// analyzer's two-tier corpus case guards the shape.
+// A Cascade scores the two predictors it was built over and pins
+// nothing: whoever builds it keeps both usable for its lifetime, as the
+// registry does by leasing the tier versions under each cascade version.
 package cascade
 
 import (
-	"math"
-
 	"urllangid/internal/calib"
 	"urllangid/internal/langid"
 	"urllangid/internal/obs"
@@ -53,16 +48,6 @@ type Confidencer interface {
 	// the tier's top-1 answer is correct; ok is false when the tier
 	// carries no calibration.
 	Confidence(margin float64) (prob float64, ok bool)
-}
-
-// TierProvider pins the cascade's tiers for the duration of one
-// classification. Implementations must return a release func that is
-// valid to call exactly once; the cascade calls it on every path.
-// The registry's implementation resolves a named slot and hands out
-// its refcounted release, which is what lets tiers reload mid-stream.
-type TierProvider interface {
-	AcquireFast() (Predictor, func(), error)
-	AcquireSlow() (Predictor, func(), error)
 }
 
 // DefaultConfusablePairs lists the language pairs that escalate
@@ -98,7 +83,6 @@ type Config struct {
 type Stats struct {
 	fast        obs.Counter // answered by the fast tier alone
 	escalations obs.Counter // slow tier consulted
-	tierErrors  obs.Counter // a tier failed to pin
 }
 
 // FastServed returns the number of URLs the fast tier answered alone.
@@ -106,9 +90,6 @@ func (s *Stats) FastServed() int64 { return s.fast.Value() }
 
 // Escalations returns the number of URLs routed to the slow tier.
 func (s *Stats) Escalations() int64 { return s.escalations.Value() }
-
-// TierErrors returns the number of tier-pin failures.
-func (s *Stats) TierErrors() int64 { return s.tierErrors.Value() }
 
 // EscalationRate returns the fraction of classified URLs that
 // consulted the slow tier, or 0 before any traffic.
@@ -126,7 +107,6 @@ func (s *Stats) EscalationRate() float64 {
 type TierSnapshot struct {
 	FastServed     int64   `json:"fast_served"`
 	Escalations    int64   `json:"escalations"`
-	TierErrors     int64   `json:"tier_errors,omitempty"`
 	EscalationRate float64 `json:"escalation_rate"`
 }
 
@@ -136,7 +116,6 @@ func (s *Stats) Snapshot() TierSnapshot {
 	return TierSnapshot{
 		FastServed:     s.fast.Value(),
 		Escalations:    s.escalations.Value(),
-		TierErrors:     s.tierErrors.Value(),
 		EscalationRate: s.EscalationRate(),
 	}
 }
@@ -147,8 +126,9 @@ func (s *Stats) Snapshot() TierSnapshot {
 // registry slot like any single model. Immutable after New and
 // safe for concurrent use.
 type Cascade struct {
-	tiers     TierProvider
-	threshold float64
+	fast, slow Predictor
+	conf       Confidencer // the fast tier's calibration; nil without one
+	threshold  float64
 	// confusable[best] holds the languages that force escalation when
 	// they are the runner-up to best; symmetric by construction.
 	confusable [langid.NumLanguages]langid.LabelSet
@@ -157,8 +137,9 @@ type Cascade struct {
 
 // New builds a cascade over the given tiers. See Config for the
 // threshold and confusable-pair semantics.
-func New(tiers TierProvider, cfg Config) *Cascade {
-	c := &Cascade{tiers: tiers, threshold: cfg.Threshold}
+func New(fast, slow Predictor, cfg Config) *Cascade {
+	c := &Cascade{fast: fast, slow: slow, threshold: cfg.Threshold}
+	c.conf, _ = fast.(Confidencer)
 	if c.threshold <= 0 {
 		c.threshold = calib.DefaultThreshold
 	}
@@ -175,57 +156,23 @@ func New(tiers TierProvider, cfg Config) *Cascade {
 	return c
 }
 
-// Threshold returns the effective escalation threshold.
-func (c *Cascade) Threshold() float64 { return c.threshold }
-
 // TierStats returns the cascade's routing counters. The serving layer
 // type-asserts for this method to surface escalation stats.
 func (c *Cascade) TierStats() *Stats { return &c.stats }
 
-// errScores is the all-"no" vector returned when no tier could be
-// pinned: every score is -Inf, so nothing is claimed and Best reports
-// no confident language.
-var errScores = func() [langid.NumLanguages]float64 {
-	var s [langid.NumLanguages]float64
-	for i := range s {
-		s[i] = math.Inf(-1)
-	}
-	return s
-}()
-
-// ScoresInto classifies rawURL through the cascade, writing the
-// decisive tier's scores into out. The result is bit-identical to
-// whichever tier decided: the fast tier's scores pass through
-// untouched when confidence holds, and the slow tier's scores replace
-// them entirely on escalation.
+// Scores classifies rawURL and returns the deciding tier's scores
+// untouched: the fast tier's when confidence holds, the slow tier's on
+// escalation.
 //
 //urllangid:hotpath
-func (c *Cascade) ScoresInto(out *[langid.NumLanguages]float64, rawURL string) {
-	fast, frel, err := c.tiers.AcquireFast()
-	if err != nil {
-		c.stats.tierErrors.Inc()
-		*out = errScores
-		return
-	}
-	*out = fast.Scores(rawURL)
-	if !c.shouldEscalate(fast, out) {
+func (c *Cascade) Scores(rawURL string) [langid.NumLanguages]float64 {
+	scores := c.fast.Scores(rawURL)
+	if !c.shouldEscalate(&scores) {
 		c.stats.fast.Inc()
-		frel()
-		return
+		return scores
 	}
-	// The fast pin is held across the slow acquire so a failed
-	// escalation can still stand on the fast answer.
-	slow, srel, err := c.tiers.AcquireSlow()
-	if err != nil {
-		c.stats.tierErrors.Inc()
-		c.stats.fast.Inc()
-		frel()
-		return
-	}
-	*out = slow.Scores(rawURL)
 	c.stats.escalations.Inc()
-	srel()
-	frel()
+	return c.slow.Scores(rawURL)
 }
 
 // shouldEscalate implements the escalation contract over the fast
@@ -234,35 +181,16 @@ func (c *Cascade) ScoresInto(out *[langid.NumLanguages]float64, rawURL string) {
 // must clear the threshold.
 //
 //urllangid:hotpath
-func (c *Cascade) shouldEscalate(fast Predictor, scores *[langid.NumLanguages]float64) bool {
+func (c *Cascade) shouldEscalate(scores *[langid.NumLanguages]float64) bool {
 	best, second := langid.TopTwoFromScores(*scores)
 	if c.confusable[best].Has(second) {
 		return true
 	}
 	margin := langid.MarginFromScores(*scores)
-	if conf, ok := fast.(Confidencer); ok {
-		if p, calibrated := conf.Confidence(margin); calibrated {
+	if c.conf != nil {
+		if p, calibrated := c.conf.Confidence(margin); calibrated {
 			return p < c.threshold
 		}
 	}
 	return margin < c.threshold
-}
-
-// Scores classifies rawURL and returns the decisive tier's scores.
-//
-//urllangid:hotpath
-func (c *Cascade) Scores(rawURL string) [langid.NumLanguages]float64 {
-	var out [langid.NumLanguages]float64
-	c.ScoresInto(&out, rawURL)
-	return out
-}
-
-// Classify classifies rawURL into a full Result. Bit-identical to the
-// deciding tier's own Classify.
-//
-//urllangid:hotpath
-func (c *Cascade) Classify(rawURL string) langid.Result {
-	var out [langid.NumLanguages]float64
-	c.ScoresInto(&out, rawURL)
-	return langid.NewResult(out)
 }

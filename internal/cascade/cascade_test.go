@@ -1,8 +1,6 @@
 package cascade
 
 import (
-	"errors"
-	"math"
 	"sync/atomic"
 	"testing"
 
@@ -11,12 +9,16 @@ import (
 )
 
 // scoreTier is a stub tier answering every URL with a fixed score
-// vector.
+// vector and counting the URLs it scored.
 type scoreTier struct {
 	scores [langid.NumLanguages]float64
+	calls  atomic.Int64
 }
 
-func (t *scoreTier) Scores(string) [langid.NumLanguages]float64 { return t.scores }
+func (t *scoreTier) Scores(string) [langid.NumLanguages]float64 {
+	t.calls.Add(1)
+	return t.scores
+}
 
 // calibTier is a calibrated fast tier: Confidence maps every margin
 // through a fitted two-point calibration.
@@ -29,42 +31,6 @@ func (t *calibTier) Confidence(margin float64) (float64, bool) {
 	return t.cal.Prob(margin), true
 }
 
-// stubTiers counts acquires and releases so every test can assert the
-// both-tiers-released invariant on every path.
-type stubTiers struct {
-	fast, slow       Predictor
-	fastErr, slowErr error
-
-	fastAcq, fastRel atomic.Int64
-	slowAcq, slowRel atomic.Int64
-}
-
-func (s *stubTiers) AcquireFast() (Predictor, func(), error) {
-	if s.fastErr != nil {
-		return nil, nil, s.fastErr
-	}
-	s.fastAcq.Add(1)
-	return s.fast, func() { s.fastRel.Add(1) }, nil
-}
-
-func (s *stubTiers) AcquireSlow() (Predictor, func(), error) {
-	if s.slowErr != nil {
-		return nil, nil, s.slowErr
-	}
-	s.slowAcq.Add(1)
-	return s.slow, func() { s.slowRel.Add(1) }, nil
-}
-
-func (s *stubTiers) assertBalanced(t *testing.T) {
-	t.Helper()
-	if a, r := s.fastAcq.Load(), s.fastRel.Load(); a != r {
-		t.Fatalf("fast tier pin leak: %d acquires, %d releases", a, r)
-	}
-	if a, r := s.slowAcq.Load(), s.slowRel.Load(); a != r {
-		t.Fatalf("slow tier pin leak: %d acquires, %d releases", a, r)
-	}
-}
-
 func scoresFor(best langid.Language, margin float64) [langid.NumLanguages]float64 {
 	var s [langid.NumLanguages]float64
 	for i := range s {
@@ -75,32 +41,25 @@ func scoresFor(best langid.Language, margin float64) [langid.NumLanguages]float6
 }
 
 func TestFastPathAnswersConfidentURLs(t *testing.T) {
-	tiers := &stubTiers{
-		fast: &scoreTier{scores: scoresFor(langid.German, 5)},
-		slow: &scoreTier{scores: scoresFor(langid.English, 9)},
-	}
-	c := New(tiers, Config{Threshold: 2}) // uncalibrated: raw-margin cut
+	fast := &scoreTier{scores: scoresFor(langid.German, 5)}
+	slow := &scoreTier{scores: scoresFor(langid.English, 9)}
+	c := New(fast, slow, Config{Threshold: 2}) // uncalibrated: raw-margin cut
 	got := c.Scores("http://example.de/")
-	if got != tiers.fast.(*scoreTier).scores {
+	if got != fast.scores {
 		t.Fatalf("confident URL not answered by fast tier: %v", got)
 	}
-	if tiers.slowAcq.Load() != 0 {
+	if slow.calls.Load() != 0 {
 		t.Fatal("slow tier consulted on the confident path")
 	}
 	st := c.TierStats()
 	if st.FastServed() != 1 || st.Escalations() != 0 {
 		t.Fatalf("stats: fast=%d escalations=%d, want 1/0", st.FastServed(), st.Escalations())
 	}
-	tiers.assertBalanced(t)
 }
 
 func TestLowMarginEscalates(t *testing.T) {
 	slowScores := scoresFor(langid.English, 9)
-	tiers := &stubTiers{
-		fast: &scoreTier{scores: scoresFor(langid.German, 0.5)},
-		slow: &scoreTier{scores: slowScores},
-	}
-	c := New(tiers, Config{Threshold: 2})
+	c := New(&scoreTier{scores: scoresFor(langid.German, 0.5)}, &scoreTier{scores: slowScores}, Config{Threshold: 2})
 	if got := c.Scores("http://example.com/"); got != slowScores {
 		t.Fatalf("low-margin URL not escalated: %v", got)
 	}
@@ -111,7 +70,6 @@ func TestLowMarginEscalates(t *testing.T) {
 	if got := st.EscalationRate(); got != 1 {
 		t.Fatalf("EscalationRate = %v, want 1", got)
 	}
-	tiers.assertBalanced(t)
 }
 
 func TestConfusablePairForcesEscalation(t *testing.T) {
@@ -120,26 +78,16 @@ func TestConfusablePairForcesEscalation(t *testing.T) {
 	fast := scoresFor(langid.French, 100)
 	fast[langid.Italian] = 50
 	slowScores := scoresFor(langid.Italian, 3)
-	tiers := &stubTiers{
-		fast: &scoreTier{scores: fast},
-		slow: &scoreTier{scores: slowScores},
-	}
-	c := New(tiers, Config{Threshold: 1})
+	c := New(&scoreTier{scores: fast}, &scoreTier{scores: slowScores}, Config{Threshold: 1})
 	if got := c.Scores("http://example.fr/ciao"); got != slowScores {
 		t.Fatalf("confusable fr/it pair not escalated: %v", got)
 	}
 	// The same scores with confusable routing explicitly disabled stay
 	// on the fast tier.
-	tiers2 := &stubTiers{
-		fast: &scoreTier{scores: fast},
-		slow: &scoreTier{scores: slowScores},
-	}
-	c2 := New(tiers2, Config{Threshold: 1, Confusable: [][2]langid.Language{}})
+	c2 := New(&scoreTier{scores: fast}, &scoreTier{scores: slowScores}, Config{Threshold: 1, Confusable: [][2]langid.Language{}})
 	if got := c2.Scores("http://example.fr/ciao"); got != fast {
 		t.Fatalf("disabled confusable routing still escalated: %v", got)
 	}
-	tiers.assertBalanced(t)
-	tiers2.assertBalanced(t)
 }
 
 func TestCalibratedThreshold(t *testing.T) {
@@ -153,14 +101,9 @@ func TestCalibratedThreshold(t *testing.T) {
 	}
 	slowScores := scoresFor(langid.English, 9)
 	run := func(margin, threshold float64) (escalated bool) {
-		tiers := &stubTiers{
-			fast: &calibTier{scoreTier: scoreTier{scores: scoresFor(langid.German, margin)}, cal: cal},
-			slow: &scoreTier{scores: slowScores},
-		}
-		c := New(tiers, Config{Threshold: threshold})
-		got := c.Scores("http://example.com/")
-		tiers.assertBalanced(t)
-		return got == slowScores
+		fast := &calibTier{scoreTier: scoreTier{scores: scoresFor(langid.German, margin)}, cal: cal}
+		c := New(fast, &scoreTier{scores: slowScores}, Config{Threshold: threshold})
+		return c.Scores("http://example.com/") == slowScores
 	}
 	// margin 8 → p=0.8: below a 0.9 threshold, above a 0.5 one. Note a
 	// raw-margin read of 8 vs either threshold would invert the first
@@ -174,55 +117,14 @@ func TestCalibratedThreshold(t *testing.T) {
 }
 
 func TestDefaultThreshold(t *testing.T) {
-	c := New(&stubTiers{}, Config{})
-	if c.Threshold() != calib.DefaultThreshold {
-		t.Fatalf("Threshold = %v, want calib.DefaultThreshold", c.Threshold())
+	c := New(&scoreTier{}, &scoreTier{}, Config{})
+	if c.threshold != calib.DefaultThreshold {
+		t.Fatalf("threshold = %v, want calib.DefaultThreshold", c.threshold)
 	}
-}
-
-func TestFastTierErrorYieldsNoClaims(t *testing.T) {
-	tiers := &stubTiers{fastErr: errors.New("slot empty")}
-	c := New(tiers, Config{Threshold: 1})
-	r := c.Classify("http://example.com/")
-	if r.Claims() != 0 {
-		t.Fatalf("tier-error result claims languages: %v", r.Claims())
-	}
-	if _, _, any := r.Best(); any {
-		t.Fatal("tier-error result reports a confident language")
-	}
-	if got := r.Score(langid.English); !math.IsInf(got, -1) {
-		t.Fatalf("tier-error score = %v, want -Inf", got)
-	}
-	if c.TierStats().TierErrors() != 1 {
-		t.Fatalf("TierErrors = %d, want 1", c.TierStats().TierErrors())
-	}
-	tiers.assertBalanced(t)
-}
-
-func TestSlowTierErrorKeepsFastAnswer(t *testing.T) {
-	fast := scoresFor(langid.German, 0.1) // low margin: wants escalation
-	tiers := &stubTiers{
-		fast:    &scoreTier{scores: fast},
-		slowErr: errors.New("slot draining"),
-	}
-	c := New(tiers, Config{Threshold: 2})
-	if got := c.Scores("http://example.com/"); got != fast {
-		t.Fatalf("fast answer should stand when the slow tier is unavailable: %v", got)
-	}
-	st := c.TierStats()
-	if st.TierErrors() != 1 || st.FastServed() != 1 || st.Escalations() != 0 {
-		t.Fatalf("stats: errors=%d fast=%d escalations=%d, want 1/1/0",
-			st.TierErrors(), st.FastServed(), st.Escalations())
-	}
-	tiers.assertBalanced(t)
 }
 
 func TestSnapshotShape(t *testing.T) {
-	tiers := &stubTiers{
-		fast: &scoreTier{scores: scoresFor(langid.German, 5)},
-		slow: &scoreTier{scores: scoresFor(langid.English, 9)},
-	}
-	c := New(tiers, Config{Threshold: 2})
+	c := New(&scoreTier{scores: scoresFor(langid.German, 5)}, &scoreTier{scores: scoresFor(langid.English, 9)}, Config{Threshold: 2})
 	for i := 0; i < 8; i++ {
 		c.Scores("http://example.de/")
 	}
@@ -233,12 +135,12 @@ func TestSnapshotShape(t *testing.T) {
 }
 
 func TestConfusableSymmetry(t *testing.T) {
-	c := New(&stubTiers{}, Config{Confusable: [][2]langid.Language{{langid.English, langid.German}}})
+	c := New(&scoreTier{}, &scoreTier{}, Config{Confusable: [][2]langid.Language{{langid.English, langid.German}}})
 	if !c.confusable[langid.English].Has(langid.German) || !c.confusable[langid.German].Has(langid.English) {
 		t.Fatal("confusable pairs must be symmetric")
 	}
 	// Invalid and self pairs are dropped, not installed.
-	c2 := New(&stubTiers{}, Config{Confusable: [][2]langid.Language{
+	c2 := New(&scoreTier{}, &scoreTier{}, Config{Confusable: [][2]langid.Language{
 		{langid.English, langid.English},
 		{langid.Language(99), langid.German},
 	}})

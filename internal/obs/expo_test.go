@@ -13,8 +13,8 @@ func TestPrometheusGolden(t *testing.T) {
 	a.Add(3)
 	b.Inc()
 	var g Gauge
-	g.Set(2)
-	h := NewHistogram(1)
+	g.Add(2)
+	h := &Histogram{Scale: 1}
 	h.Observe(1) // bucket [1,2)
 	h.Observe(5) // bucket [5,6)
 	h.Observe(5)
@@ -61,7 +61,7 @@ test_latency_seconds_count{model="nb"} 4
 // TestPrometheusScaledHistogram checks the raw→exposed unit conversion:
 // nanosecond recordings exposed as seconds.
 func TestPrometheusScaledHistogram(t *testing.T) {
-	h := NewHistogram(1e-9)
+	h := &Histogram{Scale: 1e-9}
 	h.Observe(2_000_000) // 2ms in ns
 	var b strings.Builder
 	x := NewExpoWriter(&b)

@@ -76,8 +76,9 @@ func bucketMid(i int) float64 {
 
 // Histogram records int64 samples (typically latency nanoseconds) into
 // fixed log-linear buckets. All methods are safe for concurrent use;
-// Observe is wait-free and allocation-free. Construct with NewHistogram
-// — the struct is ~19KB of buckets and is always used by pointer.
+// Observe is wait-free and allocation-free. The zero Histogram is ready
+// to use, with Scale 1. Its ~19KB of buckets are embedded by value in
+// the structs that own them, and every method takes a pointer.
 type Histogram struct {
 	// Scale converts recorded values to the exposed/derived unit: a
 	// histogram recording nanoseconds exposed as Prometheus seconds has
@@ -86,12 +87,6 @@ type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64
 	buckets [numBuckets]atomic.Int64
-}
-
-// NewHistogram returns a histogram whose exposed unit is raw×scale
-// (scale 0 means 1).
-func NewHistogram(scale float64) *Histogram {
-	return &Histogram{Scale: scale}
 }
 
 func (h *Histogram) scale() float64 {

@@ -71,7 +71,7 @@ func TestBucketInvariants(t *testing.T) {
 }
 
 func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(1)
+	h := &Histogram{Scale: 1}
 	if got := h.Quantile(0.5); got != 0 {
 		t.Errorf("empty histogram quantile = %v, want 0", got)
 	}
@@ -86,7 +86,7 @@ func TestHistogramQuantile(t *testing.T) {
 		}
 	}
 	// Nearest-rank over a bimodal distribution: 90 fast, 10 slow.
-	h2 := NewHistogram(1)
+	h2 := &Histogram{Scale: 1}
 	for i := 0; i < 90; i++ {
 		h2.Observe(10)
 	}

@@ -16,7 +16,7 @@ func TestConcurrentRecordAndScrape(t *testing.T) {
 	// Half the writers share one set of values, half the other.
 	var counters [2]Counter
 	var gauges [2]Gauge
-	hists := [2]*Histogram{NewHistogram(1), NewHistogram(1)}
+	hists := [2]*Histogram{{Scale: 1}, {Scale: 1}}
 	labels := [2][]Label{{{Key: "worker", Value: "a"}}, {{Key: "worker", Value: "b"}}}
 
 	var wg sync.WaitGroup
@@ -85,7 +85,7 @@ func TestRecordZeroAlloc(t *testing.T) {
 	}
 	var c Counter
 	var g Gauge
-	h := NewHistogram(1e-9)
+	h := &Histogram{Scale: 1e-9}
 	var tr Trace
 	if avg := testing.AllocsPerRun(1000, func() {
 		c.Inc()

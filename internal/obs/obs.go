@@ -4,7 +4,7 @@
 // trace.
 //
 // The design splits recording from exposition. Recording — Counter.Add,
-// Gauge.Set, Histogram.Observe — is a handful of atomic operations: no
+// Gauge.Add, Histogram.Observe — is a handful of atomic operations: no
 // locks, no clock reads, and zero heap allocations (pinned by test).
 // Trace.Add is a plain add, since only a request's handler goroutine
 // writes its trace. Exposition — ExpoWriter — runs once per scrape and
@@ -73,15 +73,6 @@ type Gauge struct {
 func (g *Gauge) Add(n int64) {
 	if g != nil {
 		g.v.Add(n)
-	}
-}
-
-// Set replaces the gauge value.
-//
-//urllangid:hotpath
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
 	}
 }
 

@@ -75,6 +75,10 @@ func TestInstallCascadeValidation(t *testing.T) {
 				tc.name, tc.fast, tc.slow, err, tc.wantSub)
 		}
 	}
+	// A failed install leaves no empty slot behind.
+	if names := reg.Names(); len(names) != 2 {
+		t.Fatalf("failed installs left slots %v, want only fast and slow", names)
+	}
 
 	if _, err := reg.InstallCascade("casc", "fast", "slow", cascade.Config{}); err != nil {
 		t.Fatalf("valid InstallCascade: %v", err)
@@ -87,6 +91,14 @@ func TestInstallCascadeValidation(t *testing.T) {
 	if _, err := reg.InstallCascade("casc2", "fast", "casc", cascade.Config{}); err == nil ||
 		!strings.Contains(err.Error(), "do not nest") {
 		t.Fatalf("nested slow tier accepted: %v", err)
+	}
+	// Nor may a tier of a live cascade become a cascade.
+	if _, err := reg.InstallCascade("slow", "fast", "casc", cascade.Config{}); err == nil ||
+		!strings.Contains(err.Error(), "do not nest") {
+		t.Fatalf("a cascade's tier became a cascade: %v", err)
+	}
+	if names := reg.Names(); len(names) != 3 {
+		t.Fatalf("slots %v after the nesting checks, want fast, slow and casc", names)
 	}
 
 	// The cascade serves through the standard resolver surface.
@@ -179,16 +191,17 @@ func TestCascadeEquivalence(t *testing.T) {
 				if got := casc.Scores(u); got != want {
 					t.Fatalf("%q (escalate=%v): cascade %v, deciding tier %v", u, escalate, got, want)
 				}
-				// Classify composes the same scores into a Result.
-				if got := casc.Classify(u); got != langid.NewResult(want) {
-					t.Fatalf("%q: Classify drifted from Scores", u)
+				// The engine composes the same scores into a Result.
+				if got := l.Engine().Classify(u); got.Scores() != want {
+					t.Fatalf("%q: engine Classify drifted from Scores", u)
 				}
 			}
 			if !sawFast || !sawSlow {
 				t.Fatalf("probes exercised only one route (fast=%v slow=%v); equivalence proved nothing", sawFast, sawSlow)
 			}
 			st := casc.TierStats()
-			// Scores+Classify per probe: every probe counted twice.
+			// Scores and the engine's Classify per probe: every probe
+			// counted twice.
 			if total := st.FastServed() + st.Escalations(); total != int64(2*len(cascadeProbes)) {
 				t.Fatalf("stats counted %d classifications, want %d", total, 2*len(cascadeProbes))
 			}
@@ -209,9 +222,9 @@ func medianOf(vals []float64) float64 {
 }
 
 // TestCascadeClassifyZeroAlloc is the acceptance allocation gate: the
-// full request path — resolve the cascade, pin both tiers, score the
-// fast tier, decide, release — performs zero heap allocations when the
-// fast tier answers.
+// full request path — acquire the cascade, score the fast tier,
+// decide, release — performs zero heap allocations when the fast tier
+// answers.
 func TestCascadeClassifyZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed under the race detector")
@@ -306,8 +319,8 @@ func TestCascadeSlowTierSwapStress(t *testing.T) {
 	if _, err := installTracked(reg, "slow", snapA, &slowCloses, fail); err != nil {
 		t.Fatal(err)
 	}
-	// +Inf threshold: every classification pins the slow tier, so each
-	// request races the swap loop on both tiers at once.
+	// +Inf threshold: every classification scores the slow tier, so each
+	// request races the swap loop and the cascade rebuilds it causes.
 	if _, err := reg.InstallCascade("casc", "fast", "slow", cascade.Config{Threshold: math.Inf(1)}); err != nil {
 		t.Fatal(err)
 	}
@@ -371,9 +384,10 @@ func TestCascadeSlowTierSwapStress(t *testing.T) {
 	}
 }
 
-// TestCascadeRetargetsOnTierSwap pins the by-name resolution contract:
-// installing a new model into a tier slot retargets the cascade on the
-// very next classification, no cascade reinstall needed.
+// TestCascadeRetargetsOnTierSwap pins how a tier swap reaches a
+// cascade: a cascade lease taken before the swap keeps scoring the old
+// tier version, the next lease scores the new one, and the old tier
+// version's closer runs once that first lease is released.
 func TestCascadeRetargetsOnTierSwap(t *testing.T) {
 	snapA := compiled.FromSystem(trainSystem(t, 31))
 	snapB := compiled.FromSystem(trainSystem(t, 41))
@@ -383,10 +397,13 @@ func TestCascadeRetargetsOnTierSwap(t *testing.T) {
 	if _, err := reg.Install("fast", fastSnap, fastSnap.Describe(), fastSnap.Mode()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Install("slow", snapA, snapA.Describe(), snapA.Mode()); err != nil {
+	var slowCloses atomic.Int64
+	fail := func(format string, args ...any) { t.Errorf(format, args...) }
+	if _, err := installTracked(reg, "slow", snapA, &slowCloses, fail); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.InstallCascade("casc", "fast", "slow", cascade.Config{Threshold: math.Inf(1)}); err != nil {
+	first, err := reg.InstallCascade("casc", "fast", "slow", cascade.Config{Threshold: math.Inf(1)})
+	if err != nil {
 		t.Fatal(err)
 	}
 	var u string
@@ -399,18 +416,196 @@ func TestCascadeRetargetsOnTierSwap(t *testing.T) {
 	if u == "" {
 		t.Fatal("no distinguishing probe")
 	}
+	before, err := reg.Acquire("casc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := before.Engine().Classify(u).Scores(); got != snapA.Scores(u) {
+		t.Fatalf("before swap: %v, want slow tier A's answer", got)
+	}
+	if _, err := installTracked(reg, "slow", snapB, &slowCloses, fail); err != nil {
+		t.Fatal(err)
+	}
+	if got := before.Engine().Classify(u).Scores(); got != snapA.Scores(u) {
+		t.Fatalf("lease from before the swap: %v, want slow tier A's answer", got)
+	}
+	after, err := reg.Acquire("casc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.Engine().Classify(u).Scores(); got != snapB.Scores(u) {
+		t.Fatalf("lease from after the swap: %v, want slow tier B's answer", got)
+	}
+	if v := after.Info().Version; v != first.Version+1 {
+		t.Fatalf("cascade version after the tier swap = %d, want %d", v, first.Version+1)
+	}
+	if esc := after.Engine().Predictor().(*cascade.Cascade).TierStats().Escalations(); esc != 1 {
+		t.Fatalf("new cascade version counted %d escalations, want its own 1", esc)
+	}
+	after.Release()
+	if n := slowCloses.Load(); n != 0 {
+		t.Fatalf("retired slow tier closed %d times while a cascade lease held it", n)
+	}
+	before.Release()
+	if n := slowCloses.Load(); n != 1 {
+		t.Fatalf("retired slow tier closed %d times after its last cascade lease, want 1", n)
+	}
+}
+
+// TestCascadeBothTierSwapStress swaps the fast and the slow tier from
+// two goroutines at once while hammers classify through the cascade.
+// Every answer must be that of one pair of tier versions; once the
+// swaps stop, the cascade must answer with the last version of each
+// tier, which holds only if the last rebuild sees the last swap of
+// either tier; and after Close every tier version's closer must have
+// run exactly once.
+func TestCascadeBothTierSwapStress(t *testing.T) {
+	fastModels := [2]*compiled.Snapshot{
+		compiled.FromSystem(trainSystem(t, 51)),
+		compiled.FromSystem(trainSystem(t, 61)),
+	}
+	slowModels := [2]*compiled.Snapshot{
+		compiled.FromSystem(trainSystem(t, 31)),
+		compiled.FromSystem(trainSystem(t, 41)),
+	}
+	probes := cascadeProbes
+	// A mid-range threshold on the first fast model's margins routes
+	// some probes to each tier, so the answers depend on both.
+	margins := make([]float64, 0, len(probes))
+	for _, u := range probes {
+		margins = append(margins, fastModels[0].Classify(u).Margin())
+	}
+	cfg := cascade.Config{Threshold: medianOf(margins)}
+	// want[f][s][u] is the answer of the cascade over fast version f
+	// and slow version s.
+	var want [2][2]map[string][langid.NumLanguages]float64
+	for f := range fastModels {
+		for sl := range slowModels {
+			ref := cascade.New(fastModels[f], slowModels[sl], cfg)
+			want[f][sl] = make(map[string][langid.NumLanguages]float64, len(probes))
+			for _, u := range probes {
+				want[f][sl][u] = ref.Scores(u)
+			}
+		}
+	}
+	// The last versions installed are fastModels[1] and slowModels[1];
+	// each other pair must answer some probe differently, or the final
+	// check proves nothing.
+	for _, p := range [][2]int{{0, 0}, {0, 1}, {1, 0}} {
+		same := true
+		for _, u := range probes {
+			same = same && want[p[0]][p[1]][u] == want[1][1][u]
+		}
+		if same {
+			t.Fatalf("tier pair %v answers every probe as the final pair", p)
+		}
+	}
+
+	const hammers = 8
+	var (
+		stop     atomic.Bool
+		requests atomic.Int64
+		failures atomic.Int64
+		firstErr atomic.Value
+	)
+	fail := func(format string, args ...any) {
+		failures.Add(1)
+		firstErr.CompareAndSwap(nil, fmt.Sprintf(format, args...))
+	}
+
+	reg := New(Options{Engine: serve.Options{Workers: 2}})
+	var fastCloses, slowCloses atomic.Int64
+	if _, err := installTracked(reg, "fast", fastModels[0], &fastCloses, fail); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := installTracked(reg, "slow", slowModels[0], &slowCloses, fail); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.InstallCascade("casc", "fast", "slow", cfg); err != nil {
+		t.Fatal(err)
+	}
+
+	var hammering sync.WaitGroup
+	for g := 0; g < hammers; g++ {
+		hammering.Add(1)
+		go func(g int) {
+			defer hammering.Done()
+			for i := 0; !stop.Load(); i++ {
+				u := probes[(i+g)%len(probes)]
+				l, err := reg.Acquire("casc")
+				if err != nil {
+					fail("Acquire failed mid-swap: %v", err)
+					return
+				}
+				got := l.Engine().Classify(u).Scores()
+				l.Release()
+				requests.Add(1)
+				if got != want[0][0][u] && got != want[0][1][u] && got != want[1][0][u] && got != want[1][1][u] {
+					fail("cascade answer for %s is no tier pair's", u)
+					return
+				}
+			}
+		}(g)
+	}
+
+	// Each swapper alternates its tier's two models, an odd number of
+	// swaps, so it ends on version 1 of them. It waits for a
+	// classification between swaps, since an install starts no
+	// goroutine and the loops could otherwise end before any hammer has
+	// run.
+	const swaps = 59
+	var swapping sync.WaitGroup
+	for _, tier := range []struct {
+		name   string
+		models *[2]*compiled.Snapshot
+		closes *atomic.Int64
+	}{{"fast", &fastModels, &fastCloses}, {"slow", &slowModels, &slowCloses}} {
+		swapping.Add(1)
+		go func() {
+			defer swapping.Done()
+			for c := 1; c <= swaps; c++ {
+				for seen := requests.Load(); requests.Load() == seen && failures.Load() == 0; {
+					runtime.Gosched()
+				}
+				if _, err := installTracked(reg, tier.name, tier.models[c%2], tier.closes, fail); err != nil {
+					fail("%s swap %d: %v", tier.name, c, err)
+					return
+				}
+			}
+		}()
+	}
+	swapping.Wait()
+	stop.Store(true)
+	hammering.Wait()
+	if failures.Load() > 0 {
+		t.Fatalf("%d failures in %d requests (first: %v)", failures.Load(), requests.Load(), firstErr.Load())
+	}
+	if requests.Load() == 0 {
+		t.Fatal("hammer goroutines classified nothing; the stress proved nothing")
+	}
+
 	l, err := reg.Acquire("casc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Release()
-	if got := l.Engine().Classify(u).Scores(); got != snapA.Scores(u) {
-		t.Fatalf("before swap: %v, want slow tier A's answer", got)
+	for _, u := range probes {
+		if got := l.Engine().Classify(u).Scores(); got != want[1][1][u] {
+			t.Errorf("after the swaps, %s: the cascade does not answer with the last tier versions", u)
+		}
 	}
-	if _, err := reg.Install("slow", snapB, snapB.Describe(), snapB.Mode()); err != nil {
+	l.Release()
+
+	if err := reg.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.Engine().Classify(u).Scores(); got != snapB.Scores(u) {
-		t.Fatalf("after swap: %v, want slow tier B's answer", got)
+	const versions = swaps + 1
+	if got := fastCloses.Load(); got != versions {
+		t.Errorf("after Close %d of %d fast-tier versions ran their closer", got, versions)
+	}
+	if got := slowCloses.Load(); got != versions {
+		t.Errorf("after Close %d of %d slow-tier versions ran their closer", got, versions)
+	}
+	if failures.Load() > 0 {
+		t.Fatalf("closer misuse: %v", firstErr.Load())
 	}
 }

@@ -79,6 +79,8 @@ type slot struct {
 	// observe it without taking install locks mid-scrape.
 	ver atomic.Int64
 	cur atomic.Pointer[version]
+	// casc is set, under mu, while the slot serves a cascade.
+	casc atomic.Pointer[cascadeSpec]
 }
 
 // version is one installed model epoch: the engine serving it, its
@@ -89,6 +91,9 @@ type version struct {
 	engine *serve.Engine
 	info   serve.ModelInfo
 	refs   atomic.Int64
+	// holds counts the refs held by cascade versions built over this
+	// one, which are not request pins.
+	holds atomic.Int64
 	// releaseFn is release pre-bound at install time, so Resolve hands
 	// it out per request without allocating a fresh method value.
 	releaseFn func()
@@ -241,9 +246,10 @@ func (r *Registry) SlotStates() []serve.SlotState {
 		if v := s.cur.Load(); v != nil {
 			st.Model = v.info
 			st.Ready = true
-			// refs includes the registry's own reference; anything above
-			// that is a request-held lease.
-			if pins := v.refs.Load() - 1; pins > 0 {
+			// refs includes the registry's own reference and the
+			// cascades' standing holds; anything above that is a
+			// request-held lease.
+			if pins := v.refs.Load() - 1 - v.holds.Load(); pins > 0 {
 				st.Pins = pins
 			}
 		} else {
@@ -293,13 +299,15 @@ func (r *Registry) Install(name string, p serve.Predictor, label, mode string) (
 // using it, and the last Release runs closer (when non-nil) to free
 // the model's backing storage.
 func (r *Registry) install(name string, p serve.Predictor, info serve.ModelInfo, closer func() error) (serve.ModelInfo, error) {
-	return r.installWith(name, p, info, closer, r.opts.Engine)
+	return r.swapSlot(name, func(s *slot) (serve.ModelInfo, error) {
+		s.casc.Store(nil)
+		return s.swapIn(p, info, closer, r.opts.Engine), nil
+	})
 }
 
-// installWith is install with an explicit engine template, for the few
-// installs whose engine must diverge from the registry default (a
-// cascade disables the result cache).
-func (r *Registry) installWith(name string, p serve.Predictor, info serve.ModelInfo, closer func() error, engOpts serve.Options) (serve.ModelInfo, error) {
+// swapSlot runs swap under the mu of the named slot, created on first
+// install, and then rebuilds the cascades over the slot.
+func (r *Registry) swapSlot(name string, swap func(*slot) (serve.ModelInfo, error)) (serve.ModelInfo, error) {
 	if name == "" {
 		return serve.ModelInfo{}, fmt.Errorf("registry: empty model name")
 	}
@@ -317,14 +325,19 @@ func (r *Registry) installWith(name string, p serve.Predictor, info serve.ModelI
 	r.mu.Unlock()
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	// Close may have drained this slot between the registry check and
 	// here; installing into a closed registry would leak the model's
 	// mapping.
 	if r.closed.Load() {
+		s.mu.Unlock()
 		return serve.ModelInfo{}, fmt.Errorf("registry: closed")
 	}
-	return s.swapIn(p, info, closer, engOpts), nil
+	info, err := swap(s)
+	s.mu.Unlock()
+	if err == nil {
+		r.rebuildCascades(name)
+	}
+	return info, err
 }
 
 // swapIn numbers info as the slot's next version, builds its engine
@@ -344,9 +357,10 @@ func (s *slot) swapIn(p serve.Predictor, info serve.ModelInfo, closer func() err
 
 // Reload re-opens the named slot's backing file. If the file's content
 // digest matches the running version's, nothing happens and changed is
-// false; otherwise the new model is swapped in and the old version
-// drains. Slots installed programmatically (no path) are not
-// reloadable.
+// false; otherwise the new model is verified and swapped in, the old
+// version drains, and the cascades over the slot are rebuilt. A file
+// that fails to open or verify leaves the running version serving.
+// Slots installed programmatically (no path) are not reloadable.
 func (r *Registry) Reload(name string) (serve.ModelInfo, bool, error) {
 	r.mu.RLock()
 	if name == "" && len(r.names) > 0 {
@@ -357,15 +371,23 @@ func (r *Registry) Reload(name string) (serve.ModelInfo, bool, error) {
 	if s == nil {
 		return serve.ModelInfo{}, false, fmt.Errorf("%w: %q", serve.ErrUnknownModel, name)
 	}
+	info, changed, err := r.reload(s)
+	if changed {
+		r.rebuildCascades(name)
+	}
+	return info, changed, err
+}
 
+// reload is Reload's work on the slot, under its mu.
+func (r *Registry) reload(s *slot) (serve.ModelInfo, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.cur.Load()
 	if cur == nil || r.closed.Load() {
-		return serve.ModelInfo{}, false, fmt.Errorf("model %q: %w", name, serve.ErrNoModels)
+		return serve.ModelInfo{}, false, fmt.Errorf("model %q: %w", s.name, serve.ErrNoModels)
 	}
 	if cur.info.Path == "" {
-		return cur.info, false, fmt.Errorf("%q: %w", name, serve.ErrNotReloadable)
+		return cur.info, false, fmt.Errorf("%q: %w", s.name, serve.ErrNotReloadable)
 	}
 	// Cheap probe first: the content digest is recoverable from the
 	// header and metadata alone — for a v3 flat file that is one small
@@ -378,14 +400,20 @@ func (r *Registry) Reload(name string) (serve.ModelInfo, bool, error) {
 	}
 	snap, digest, err := readModelFile(cur.info.Path)
 	if err != nil {
-		return cur.info, false, fmt.Errorf("reloading %q: %w", name, err)
+		return cur.info, false, fmt.Errorf("reloading %q: %w", s.name, err)
 	}
 	if digest == cur.info.Digest {
 		snap.Close()
 		return cur.info, false, nil
 	}
+	// Scoring a corrupt payload panics, on an engine helper goroutine
+	// that nothing recovers: check the digests before the swap.
+	if err := snap.Verify(); err != nil {
+		snap.Close()
+		return cur.info, false, fmt.Errorf("reloading %q: %w", s.name, err)
+	}
 	return s.swapIn(snap, serve.ModelInfo{
-		Name:   name,
+		Name:   s.name,
 		Model:  snap.Describe(),
 		Mode:   snap.Mode(),
 		Digest: digest,

@@ -1,17 +1,25 @@
 package registry
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"urllangid/internal/compiled"
 	"urllangid/internal/core"
 	"urllangid/internal/datagen"
 	"urllangid/internal/features"
+	"urllangid/internal/langid"
 	"urllangid/internal/modelfile"
 	"urllangid/internal/serve"
 )
@@ -272,4 +280,129 @@ func TestRegistryLeaseSurvivesSwap(t *testing.T) {
 		t.Error("old engine died while still leased")
 	}
 	held.Release()
+}
+
+// TestRegistryReloadRejectsCorruptFile: a redeployed v3 file whose
+// payload was damaged still parses, and its section digests are checked
+// only on first use. Reload must check them before the swap: scoring
+// the damaged payload panics on an engine helper goroutine, which
+// nothing recovers, so a swapped-in corrupt file would end the process
+// on its first multi-URL batch.
+func TestRegistryReloadRejectsCorruptFile(t *testing.T) {
+	snapA := compiled.FromSystem(trainSystem(t, 31))
+	snapB := compiled.FromSystem(trainSystem(t, 41))
+	path := filepath.Join(t.TempDir(), "live.model")
+	writeSnapshotFile(t, path, snapA)
+
+	reg := New(Options{Engine: serve.Options{Workers: 2}})
+	defer reg.Close()
+	if _, err := reg.LoadFile("m", path); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := snapB.WriteFlat(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	data[len(data)-1] ^= 0xff
+	if err := modelfile.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	info, changed, err := reg.Reload("m")
+	if err == nil || changed {
+		t.Errorf("reload of a corrupt file = (version %d, changed %v, %v), want an error", info.Version, changed, err)
+	}
+	l, err := reg.Acquire("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Release()
+	urls := make([]string, 64)
+	for i := range urls {
+		urls[i] = cascadeProbes[i%len(cascadeProbes)] + "/" + strconv.Itoa(i)
+	}
+	for i, res := range l.Engine().ClassifyBatch(urls) {
+		if res.Scores() != snapA.Scores(urls[i]) {
+			t.Fatalf("%s: the slot does not answer with the loaded version", urls[i])
+		}
+	}
+	if v := l.Info().Version; v != 1 {
+		t.Fatalf("slot serves version %d after a failed reload, want 1", v)
+	}
+}
+
+// TestStreamReloadReachesStalledUpload: a /v1/stream request pins its
+// model only while it scores a batch. While its upload stalls, a reload
+// of its slot runs the retired version's closer at once, without
+// waiting for the client, and the stream's next batch is answered by
+// the new version.
+func TestStreamReloadReachesStalledUpload(t *testing.T) {
+	snapA := compiled.FromSystem(trainSystem(t, 31))
+	snapB := compiled.FromSystem(trainSystem(t, 41))
+	path := filepath.Join(t.TempDir(), "live.model")
+	writeSnapshotFile(t, path, snapB)
+
+	reg := New(Options{})
+	defer reg.Close()
+	// Version 1 is snapA with a counted closer, installed as if it had
+	// been loaded from path; the file holds snapB, so Reload swaps.
+	var closes atomic.Int64
+	m := &trackedModel{Snapshot: snapA, closes: &closes, fail: t.Errorf}
+	if _, err := reg.install("m", m, serve.ModelInfo{Name: "m", Model: snapA.Describe(), Mode: snapA.Mode(), Path: path, Digest: "version 1"}, m.close); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(serve.NewHandler(reg, serve.HandlerOptions{}))
+	defer srv.Close()
+
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	go io.WriteString(pw, cascadeProbes[0]+"\n")
+	resp, err := http.Post(srv.URL+"/v1/stream?model=m", "application/x-ndjson", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out := bufio.NewReader(resp.Body)
+	// The first result arrives while the upload is open: the handler
+	// now waits on the body.
+	if got := streamScores(t, out); got != snapA.Scores(cascadeProbes[0]) {
+		t.Fatalf("first batch: %v, want version 1's answer", got)
+	}
+	if _, changed, err := reg.Reload("m"); err != nil || !changed {
+		t.Fatalf("reload = (%v, %v), want a swap", changed, err)
+	}
+	if n := closes.Load(); n != 1 {
+		t.Fatalf("retired version closed %d times while the upload stalls, want 1", n)
+	}
+	go func() {
+		io.WriteString(pw, cascadeProbes[1]+"\n")
+		pw.Close()
+	}()
+	if got := streamScores(t, out); got != snapB.Scores(cascadeProbes[1]) {
+		t.Fatalf("batch after the reload: %v, want the reloaded version's answer", got)
+	}
+}
+
+// streamScores reads one /v1/stream result line and returns its scores.
+func streamScores(t *testing.T, out *bufio.Reader) [langid.NumLanguages]float64 {
+	t.Helper()
+	line, err := out.ReadBytes('\n')
+	if err != nil {
+		t.Fatalf("reading a result line: %v", err)
+	}
+	var res struct {
+		Scores map[string]float64 `json:"scores"`
+	}
+	if err := json.Unmarshal(line, &res); err != nil {
+		t.Fatalf("result line %q: %v", line, err)
+	}
+	var scores [langid.NumLanguages]float64
+	for i := range scores {
+		scores[i] = res.Scores[langid.Language(i).Code()]
+	}
+	return scores
 }

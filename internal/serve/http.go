@@ -359,10 +359,9 @@ func (h *handler) classify(w http.ResponseWriter, r *http.Request) {
 // with a "url" field, a JSON string, or a bare URL. Responses stream
 // back in input order, one JSON object per line, flushed per chunk so a
 // crawler can pipe its frontier through without buffering it. The
-// stream pins its engine for its whole duration: a model swapped out
-// mid-stream keeps answering this stream's lines, and its file is
-// unmapped only when the stream (and any other holder) lets go —
-// in-flight work drains, it is never cut off.
+// stream pins its model per micro-batch, never while it waits on the
+// client or writes to it: a stalled upload holds no model version, and
+// a model swapped in mid-stream answers the stream's next batch.
 //
 // A stream that ends early — a bad or over-long line — leaves the rest
 // of its upload unread. In full duplex, net/http drains such a body only
@@ -382,15 +381,18 @@ func (h *handler) stream(w http.ResponseWriter, r *http.Request) {
 
 // streamLines answers a /v1/stream request; see stream.
 func (h *handler) streamLines(w http.ResponseWriter, r *http.Request) {
+	// This resolve answers a bad model name before any output and counts
+	// the stream; each batch then resolves again (emit).
 	engine, _, release, ok := h.resolve(w, r)
 	if !ok {
 		return
 	}
-	defer release()
 	st := engine.Stats()
+	release()
 	st.RecordRequest()
 	st.IncInFlight()
 	defer st.DecInFlight()
+	name := r.URL.Query().Get("model")
 	tr := obs.TraceFrom(r.Context())
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	// Results stream back while the frontier is still uploading. Without
@@ -406,11 +408,19 @@ func (h *handler) streamLines(w http.ResponseWriter, r *http.Request) {
 		if len(chunk) == 0 {
 			return true
 		}
+		engine, _, release, err := h.models.Resolve(name)
+		if err != nil {
+			// The registry closed mid-stream, at shutdown.
+			enc.Encode(map[string]string{"error": err.Error()})
+			rc.Flush()
+			return false
+		}
 		var t0 time.Time
 		if tr != nil {
 			t0 = time.Now()
 		}
 		results := engine.ClassifyBatch(chunk)
+		release()
 		if tr != nil {
 			t1 := time.Now()
 			tr.Add(obs.StageEngine, t1.Sub(t0))

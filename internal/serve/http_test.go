@@ -553,9 +553,10 @@ func TestHTTPClassifyPinsAfterBody(t *testing.T) {
 	}
 }
 
-// TestHTTPStreamClientDisconnect: a client that goes away mid-upload,
-// with the handler waiting on its body, ends the handler with the
-// registry pin released and no goroutine left behind.
+// TestHTTPStreamClientDisconnect: a stream pins its model per batch,
+// so while the handler waits on the body it holds no pin; a client that
+// goes away then ends the handler with no pin and no goroutine left
+// behind.
 func TestHTTPStreamClientDisconnect(t *testing.T) {
 	snap, _ := snapshot(t)
 	e := New(snap, Options{Workers: 1})
@@ -585,8 +586,8 @@ func TestHTTPStreamClientDisconnect(t *testing.T) {
 	if err != nil || !strings.Contains(line, "/eins") {
 		t.Fatalf("first result = %q, %v", line, err)
 	}
-	if n := res.pins.Load(); n != 1 {
-		t.Fatalf("%d pins mid-stream, want 1", n)
+	if n := res.pins.Load(); n != 0 {
+		t.Fatalf("%d pins while the handler waits on the body, want 0", n)
 	}
 	cancel()
 	resp.Body.Close()

@@ -122,12 +122,11 @@ type CascadeConfig struct {
 
 // InstallCascade installs a two-tier cascade under name: the fast slot
 // answers every URL, and low-confidence or confusable answers are
-// re-scored by the slow slot. Both tiers must already be installed and
-// are resolved by name per classification, so reloading a tier
-// retargets the cascade immediately. The cascade serves like any model
-// — Classify by name, swap tiers underneath it, observe per-tier stats
-// over HTTP — and its non-escalating path stays allocation-free.
-// Cascades cannot be tiers of other cascades.
+// re-scored by the slow slot. Both tiers must already be installed;
+// installing or reloading one swaps in a new cascade version, which
+// the next call gets. The cascade serves like any model — Classify by
+// name, observe per-tier stats over HTTP — and its non-escalating path
+// stays allocation-free. Cascades cannot be tiers of other cascades.
 func (r *Registry) InstallCascade(name, fast, slow string, cfg CascadeConfig) (ModelInfo, error) {
 	info, err := r.reg.InstallCascade(name, fast, slow, cascade.Config{
 		Threshold:  cfg.Threshold,

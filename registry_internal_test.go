@@ -13,11 +13,12 @@ import (
 
 // TestNoPinOutlivesItsCall checks the lease contract where the pinpair
 // analyzer cannot: releases handed out as a func() by the registry's
-// Resolve (to the HTTP handlers) and by the cascade's tier source. Two
-// models and a cascade over them go through every public Registry call
-// and every HTTP route that pins a model, and after each call every
-// slot must hold no pin. A leaked pin keeps a swapped-out version, and
-// the file mapped under it, alive for the life of the process.
+// Resolve to the HTTP handlers, and the tier leases a cascade version
+// holds, which Pins must leave out. Two models and a cascade over them
+// go through every public Registry call and every HTTP route that pins
+// a model, and after each call every slot must hold no pin. A leaked
+// pin keeps a swapped-out version, and the file mapped under it, alive
+// for the life of the process.
 func TestNoPinOutlivesItsCall(t *testing.T) {
 	samples := datagen.Generate(datagen.Config{
 		Kind: datagen.ODP, Seed: 21, TrainPerLang: 200, TestPerLang: 1,
