@@ -33,10 +33,11 @@ ESCAPE_GO_VERSION ?= go1.24
 # The serve package pins its strict request parsers to encoding/json
 # (same result and error text for every body and stream line), sends
 # raw bodies through both serving handlers (no panic; valid JSON or a
-# 4xx), and holds the result cache's indexed CLOCK to a map-based
-# reference, hit for hit.
+# 4xx), holds the result cache's indexed CLOCK to a map-based
+# reference, hit for hit, and holds the response float formatter to
+# encoding/json's bytes for any finite 64-bit pattern.
 URLX_FUZZ := FuzzParseConsistency FuzzNormalizeInto FuzzHostAgainstNetURL
-SERVE_FUZZ := FuzzDecodeClassify FuzzStreamLine FuzzClassifyHandler FuzzStreamHandler FuzzCacheClock
+SERVE_FUZZ := FuzzDecodeClassify FuzzStreamLine FuzzClassifyHandler FuzzStreamHandler FuzzCacheClock FuzzAppendJSONFloat
 
 # The committed public API surface: declaration lines distilled from
 # `go doc -all` (sections start at CONSTANTS/...; doc prose is indented

@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -332,6 +334,113 @@ func TestRegistryReloadRejectsCorruptFile(t *testing.T) {
 	}
 	if v := l.Info().Version; v != 1 {
 		t.Fatalf("slot serves version %d after a failed reload, want 1", v)
+	}
+}
+
+// lockedBuffer is a bytes.Buffer safe for a server's error log, which
+// writes from handler goroutines while the test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestCorruptModelFailsOnlyItsRequests: LoadFile leaves verification to
+// the first score, so a model file with a damaged payload loads, and
+// every batch on it panics, on its caller and on its helper. The panic
+// ends the request, not the server: a /v1/classify batch and a
+// /v1/stream upload on a Workers: 2 engine each lose their connection,
+// and afterwards /healthz answers 200, the slot holds no pin and no
+// request is counted in flight.
+func TestCorruptModelFailsOnlyItsRequests(t *testing.T) {
+	var buf bytes.Buffer
+	if err := compiled.FromSystem(trainSystem(t, 41)).WriteFlat(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	data[len(data)-1] ^= 0xff
+	path := filepath.Join(t.TempDir(), "corrupt.model")
+	if err := modelfile.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	reg := New(Options{Engine: serve.Options{Workers: 2}})
+	defer reg.Close()
+	if _, err := reg.LoadFile("m", path); err != nil {
+		t.Fatal(err)
+	}
+	var errLog lockedBuffer
+	srv := httptest.NewUnstartedServer(serve.NewHandler(reg, serve.HandlerOptions{}))
+	srv.Config.ErrorLog = log.New(&errLog, "", 0)
+	srv.Start()
+	defer srv.Close()
+
+	urls := make([]string, 64)
+	for i := range urls {
+		urls[i] = cascadeProbes[i%len(cascadeProbes)] + "/" + strconv.Itoa(i)
+	}
+	body, err := json.Marshal(map[string][]string{"urls": urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []struct{ path, body string }{
+		{"/v1/classify?model=m", string(body)},
+		{"/v1/stream?model=m", strings.Join(urls, "\n")},
+	} {
+		resp, err := http.Post(srv.URL+req.path, "application/json", strings.NewReader(req.body))
+		if err == nil {
+			out, rerr := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if rerr == nil {
+				t.Errorf("%s on a corrupt model answered %s: %.80s", req.path, resp.Status, out)
+			}
+		}
+	}
+	if n := strings.Count(errLog.String(), "scoring unverified flat snapshot"); n != 2 {
+		t.Errorf("server logged %d scoring panics, want 2:\n%s", n, errLog.String())
+	}
+
+	get := func(path string) (int, string) {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(out)
+	}
+	if code, _ := get("/healthz"); code != http.StatusOK {
+		t.Errorf("/healthz answered %d after the panics", code)
+	}
+	for _, st := range reg.SlotStates() {
+		if st.Pins != 0 {
+			t.Errorf("slot %s holds %d pins after the panics", st.Model.Name, st.Pins)
+		}
+	}
+	_, metrics := get("/metrics")
+	for _, want := range []string{
+		"\nurllangid_http_in_flight 1\n", // the scrape itself
+		"\nurllangid_model_in_flight{model=\"m\"} 0\n",
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("/metrics lacks %q", strings.TrimSpace(want))
+		}
 	}
 }
 

@@ -231,6 +231,11 @@ func (e *Engine) ClassifyBatch(urls []string) []Result {
 		}
 	}
 	var done sync.WaitGroup
+	// A helper that panics (a corrupt model file fails its first
+	// score) hands the panic to the caller, which raises it on its own
+	// goroutine once every helper has returned: there net/http's
+	// per-request recovery applies, and no helper outlives the call.
+	var failed atomic.Pointer[any]
 spawn:
 	for h := 1; h < min(e.workers, len(urls)); h++ {
 		select {
@@ -240,13 +245,23 @@ spawn:
 		}
 		done.Add(1)
 		go func() {
+			defer func() {
+				if p := recover(); p != nil {
+					failed.CompareAndSwap(nil, &p)
+				}
+				<-e.helpers
+				done.Done()
+			}()
 			run()
-			<-e.helpers
-			done.Done()
 		}()
 	}
-	run()
-	done.Wait()
+	func() {
+		defer done.Wait() // also when the caller's own share panics
+		run()
+	}()
+	if p := failed.Load(); p != nil {
+		panic(*p)
+	}
 	e.record(start, out)
 	return out
 }

@@ -417,6 +417,61 @@ func TestEngineConcurrentBatchesSharePool(t *testing.T) {
 	}
 }
 
+// corruptPredictor panics on every score until healed, as a snapshot
+// whose file fails verification does. Healed, a call waits (up to a
+// minute) until a second call runs beside it, so a batch of two or more
+// URLs returns quickly only if it scored on two goroutines.
+type corruptPredictor struct {
+	healed atomic.Bool
+	calls  atomic.Int64
+	pair   chan struct{}
+}
+
+func (p *corruptPredictor) Scores(rawURL string) [langid.NumLanguages]float64 {
+	if !p.healed.Load() {
+		panic("corrupt model")
+	}
+	if p.calls.Add(1) == 2 {
+		close(p.pair)
+	}
+	select {
+	case <-p.pair:
+	case <-time.After(time.Minute):
+	}
+	return [langid.NumLanguages]float64{}
+}
+
+// TestClassifyBatchHelperPanic: a panic while scoring reaches the
+// batch's caller on its own goroutine, once every helper has returned
+// its token, where a helper's panic used to end the process. A later
+// batch on the same engine still scores on a helper beside its caller.
+func TestClassifyBatchHelperPanic(t *testing.T) {
+	p := &corruptPredictor{pair: make(chan struct{})}
+	e := New(p, Options{Workers: 2, NoStats: true})
+	urls := testURLs(64)
+	for i := 0; i < 3; i++ {
+		func() {
+			defer func() {
+				if v := recover(); v != "corrupt model" {
+					t.Errorf("batch %d raised %v, want the predictor's panic", i, v)
+				}
+			}()
+			e.ClassifyBatch(urls)
+		}()
+		if n := len(e.helpers); n != 0 {
+			t.Fatalf("batch %d: %d helper tokens held after the batch panicked", i, n)
+		}
+	}
+	p.healed.Store(true)
+	start := time.Now()
+	if res := e.ClassifyBatch(urls[:2]); res[1].URL != urls[1] {
+		t.Fatalf("healed batch answered %+v", res)
+	}
+	if d := time.Since(start); d > 30*time.Second {
+		t.Errorf("healed batch took %v: it ran without a helper", d)
+	}
+}
+
 // TestEngineAccountsPerCall pins the stats contract: an engine call —
 // a batch of any size, or one Classify — is one latency sample and one
 // add of its URL count, and only a cached engine counts lookups.

@@ -136,6 +136,9 @@ func (h *handler) route(mux *http.ServeMux, pattern string, fn http.HandlerFunc)
 	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		h.inFlight.Add(1)
+		// Deferred: a handler that panics (net/http recovers it and
+		// drops the connection) must not leave itself counted.
+		defer h.inFlight.Add(-1)
 		sw := &statusWriter{ResponseWriter: w}
 		var tr *obs.Trace
 		if h.slowLog > 0 {
@@ -144,7 +147,6 @@ func (h *handler) route(mux *http.ServeMux, pattern string, fn http.HandlerFunc)
 		}
 		fn(sw, r)
 		elapsed := time.Since(start)
-		h.inFlight.Add(-1)
 		m.duration.Observe(int64(elapsed))
 		m.codes[sw.status()].Inc()
 		if h.slowLog > 0 && elapsed >= h.slowLog {
@@ -419,8 +421,12 @@ func (h *handler) streamLines(w http.ResponseWriter, r *http.Request) {
 		if tr != nil {
 			t0 = time.Now()
 		}
-		results := engine.ClassifyBatch(chunk)
-		release()
+		// The pin ends with the batch, before its results are written;
+		// deferred, so a batch that panics leaves no pin behind.
+		results := func() []Result {
+			defer release()
+			return engine.ClassifyBatch(chunk)
+		}()
 		if tr != nil {
 			t1 := time.Now()
 			tr.Add(obs.StageEngine, t1.Sub(t0))
