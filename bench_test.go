@@ -454,6 +454,53 @@ func BenchmarkPredictSnapshotScoresTrigram(b *testing.B) {
 	}
 }
 
+// wcURLs holds 4,096 generated web-crawl URLs (datagen WC, seed 41):
+// the token mix of a crawl frontier, where servingURLs repeats one
+// template's five tokens.
+var wcURLs = sync.OnceValue(func() []string {
+	ds := datagen.Generate(datagen.Config{Kind: datagen.WC, Seed: 41, TestPerLang: 4096 / langid.NumLanguages})
+	urls := make([]string, 0, 4096)
+	for _, s := range ds.Test[:4096] {
+		urls = append(urls, s.URL)
+	}
+	return urls
+})
+
+// BenchmarkPredictSnapshotScoresWC is BenchmarkPredictSnapshotScores
+// over wcURLs: Scores on the raw URLs, and ScoresForKey on their cache
+// keys, the engine's miss path, which skips normalization.
+func BenchmarkPredictSnapshotScoresWC(b *testing.B) {
+	benchSnapshotWC(b, features.Words)
+}
+
+// BenchmarkPredictSnapshotScoresTrigramWC is
+// BenchmarkPredictSnapshotScoresTrigram over wcURLs, as
+// BenchmarkPredictSnapshotScoresWC.
+func BenchmarkPredictSnapshotScoresTrigramWC(b *testing.B) {
+	benchSnapshotWC(b, features.Trigrams)
+}
+
+func benchSnapshotWC(b *testing.B, kind features.Kind) {
+	_, snap := benchSystemAndSnapshot(b, kind)
+	urls := wcURLs()
+	keys := make([]string, len(urls))
+	for i, u := range urls {
+		keys[i] = snap.CacheKey(u)
+	}
+	b.Run("Scores", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = snap.Scores(urls[i%len(urls)])
+		}
+	})
+	b.Run("ScoresForKey", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = snap.ScoresForKey(keys[i%len(keys)])
+		}
+	})
+}
+
 // BenchmarkPredictSnapshotScoresRewrite is the same hot path fed URLs
 // that need byte rewriting during normalization; pooled scratch keeps
 // it at 0 allocs/op too.

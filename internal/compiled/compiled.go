@@ -4,9 +4,10 @@
 //
 //   - the linear family (Naive Bayes, Relative Entropy, Maximum Entropy)
 //     packs its five per-language weight vectors into one contiguous,
-//     language-interleaved slice keyed by token ID, resolved through an
-//     open-addressing string table (word and raw-trigram features), a
-//     dense trigram index over the same table (trigram features, see
+//     language-interleaved slice keyed by token ID, resolved through a
+//     packed word index over an open-addressing string table (word
+//     features, see words.go), the table itself (raw-trigram features),
+//     a dense trigram index over the table (trigram features, see
 //     trigram.go) or fed by the dense custom-feature extractor;
 //   - decision trees flatten into per-language node arrays (feature,
 //     threshold, child indices, precomputed leaf scores) walked without
@@ -94,6 +95,10 @@ type Snapshot struct {
 	// builds it; a flat snapshot builds it in its deferred verification
 	// pass, once the table is known to be sound.
 	tri *trigramIndex
+	// words is the word kernel's packed token index (see words.go),
+	// derived from table for word snapshots and nil otherwise. Like
+	// tri, FromSystem builds it, or a flat snapshot's verification pass.
+	words *wordIndex
 	// custom is the streaming custom-feature extractor for the custom
 	// families (shared with the source system when compiled in-process,
 	// rebuilt from the trained dictionary when loaded from disk).
@@ -170,6 +175,7 @@ func FromSystem(sys *core.System) *Snapshot {
 	case *features.WordExtractor:
 		s.kind = features.Words
 		s.table = strtab.New(ext.Vocab().Names())
+		s.words = buildWordIndex(&s.table)
 	case *features.TrigramExtractor:
 		s.kind = features.Trigrams
 		s.table = strtab.New(ext.Vocab().Names())
@@ -363,9 +369,10 @@ func (s *Snapshot) scoreInput(input string, sc *scratch) [langid.NumLanguages]fl
 	// Feature extraction through the streaming layer: the custom
 	// families extract densely (the tree walk reads the dense form
 	// directly; the other modes score its sparse compression), the
-	// normal-form trigram family runs the trigram kernel, and the word
-	// and raw-trigram families stream IDs through the string table into
-	// the shared run-length encoder.
+	// normal-form trigram family runs the trigram kernel, the word
+	// family streams IDs through the word index and the raw-trigram
+	// family through the string table, both into the shared run-length
+	// encoder.
 	if s.isCustom() {
 		if s.mode == modeDTree {
 			return s.dtreeScores(s.custom.ExtractDense(&sc.feat, input), nil, nil)
@@ -402,19 +409,6 @@ func (s *Snapshot) scoreInput(input string, sc *scratch) [langid.NumLanguages]fl
 	default:
 		return s.linearScores(sp.Idx, sp.Val)
 	}
-}
-
-// collectTokens streams the tokens of a URL in normal form into sc.ids
-// via the table.
-func (s *Snapshot) collectTokens(norm string, sc *scratch) {
-	host, path := urlx.SplitNormalized(norm)
-	emit := func(tok string) {
-		if id, ok := s.table.Lookup(tok); ok {
-			sc.ids = append(sc.ids, id)
-		}
-	}
-	urlx.VisitTokens(host, emit)
-	urlx.VisitTokens(path, emit)
 }
 
 // tldScores answers the baseline from the normal form's TLD: +1 for the

@@ -20,11 +20,12 @@ package compiled
 //     against its directory digest, and the structural invariants the
 //     hot path relies on — string-table probe reachability, tree
 //     preorder termination, kNN CSR bounds — are validated. A trigram
-//     snapshot also derives its trigram index here, from the validated
-//     table, so the file format carries no extra section. A snapshot
-//     that fails verification panics on Classify (the only channel a
-//     hot-path method has) with the underlying corruption error;
-//     callers that want an error instead probe Verify first.
+//     snapshot also derives its trigram index here, and a word snapshot
+//     its word index, from the validated table, so the file format
+//     carries no extra section. A snapshot that fails verification
+//     panics on Classify (the only channel a hot-path method has) with
+//     the underlying corruption error; callers that want an error
+//     instead probe Verify first.
 //
 // The arrays a flat snapshot scores from are bit-identical to the ones
 // FromSystem builds — same float64 values, same storage order, same
@@ -396,7 +397,10 @@ func (s *Snapshot) verifyFlat() error {
 				return fmt.Errorf("compiled: %w", err)
 			}
 		}
-		if s.kind == features.Trigrams && !s.raw {
+		switch {
+		case s.kind == features.Words:
+			s.words = buildWordIndex(&s.table)
+		case s.kind == features.Trigrams && !s.raw:
 			s.tri = buildTrigramIndex(&s.table)
 		}
 	}

@@ -2,7 +2,7 @@ package compiled
 
 // The trigram kernel: a normal-form trigram snapshot turns a URL into
 // its sparse trigram vector without hashing, probing, comparing or
-// sorting a single gram. Every token urlx.VisitTokens emits is
+// sorting a single gram. Every token urlx.VisitNormalizedTokens emits is
 // [a-z]{2,}, so each padded trigram of ' '+token+' ' is three base-27
 // digits (' ' is 0, 'a'..'z' are 1..26). A rolling code walks the token
 // once; a dense index derived from the string table turns each code
@@ -64,8 +64,7 @@ func buildTrigramIndex(t *strtab.Table) *trigramIndex {
 //
 //urllangid:hotpath
 func (s *Snapshot) trigramRuns(norm string, sc *scratch) vecspace.Sparse {
-	host, path := urlx.SplitNormalized(norm)
-	mark := func(tok string) {
+	urlx.VisitNormalizedTokens(norm, func(tok string) {
 		code := uint32(tok[0] - 'a' + 1)
 		for i := 1; i <= len(tok); i++ {
 			var d uint32 // the closing pad
@@ -79,9 +78,7 @@ func (s *Snapshot) trigramRuns(norm string, sc *scratch) vecspace.Sparse {
 				sc.marks[id/64] |= 1 << (id % 64)
 			}
 		}
-	}
-	urlx.VisitTokens(host, mark)
-	urlx.VisitTokens(path, mark)
+	})
 
 	sc.idx, sc.val = sc.idx[:0], sc.val[:0]
 	for w, word := range sc.marks {

@@ -71,16 +71,12 @@ func (sc *Scratch) Runs(ids []uint32) vecspace.Sparse {
 //
 //urllangid:hotpath
 func (e *WordExtractor) ExtractInto(sc *Scratch, rawURL string) vecspace.Sparse {
-	norm := urlx.NormalizeInto(&sc.norm, rawURL)
-	host, path := urlx.SplitNormalized(norm)
 	sc.ids = sc.ids[:0]
-	emit := func(tok string) {
+	urlx.VisitNormalizedTokens(urlx.NormalizeInto(&sc.norm, rawURL), func(tok string) {
 		if i, ok := e.vocab.Lookup(tok); ok {
 			sc.ids = append(sc.ids, i)
 		}
-	}
-	urlx.VisitTokens(host, emit)
-	urlx.VisitTokens(path, emit)
+	})
 	return sc.runs()
 }
 
@@ -90,18 +86,14 @@ func (e *WordExtractor) ExtractInto(sc *Scratch, rawURL string) vecspace.Sparse 
 //
 //urllangid:hotpath
 func (e *TrigramExtractor) ExtractInto(sc *Scratch, rawURL string) vecspace.Sparse {
-	norm := urlx.NormalizeInto(&sc.norm, rawURL)
-	host, path := urlx.SplitNormalized(norm)
 	sc.ids = sc.ids[:0]
-	emit := func(tok string) {
+	urlx.VisitNormalizedTokens(urlx.NormalizeInto(&sc.norm, rawURL), func(tok string) {
 		ngram.VisitTrigrams(&sc.pad, tok, func(g string) {
 			if i, ok := e.vocab.Lookup(g); ok {
 				sc.ids = append(sc.ids, i)
 			}
 		})
-	}
-	urlx.VisitTokens(host, emit)
-	urlx.VisitTokens(path, emit)
+	})
 	return sc.runs()
 }
 

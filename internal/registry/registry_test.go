@@ -361,8 +361,9 @@ func (b *lockedBuffer) String() string {
 // every batch on it panics, on its caller and on its helper. The panic
 // ends the request, not the server: a /v1/classify batch and a
 // /v1/stream upload on a Workers: 2 engine each lose their connection,
-// and afterwards /healthz answers 200, the slot holds no pin and no
-// request is counted in flight.
+// and afterwards /healthz answers 200, the slot holds no pin, no
+// request is counted in flight, and /metrics counts each failed request
+// under its route with code 500.
 func TestCorruptModelFailsOnlyItsRequests(t *testing.T) {
 	var buf bytes.Buffer
 	if err := compiled.FromSystem(trainSystem(t, 41)).WriteFlat(&buf); err != nil {
@@ -437,6 +438,8 @@ func TestCorruptModelFailsOnlyItsRequests(t *testing.T) {
 	for _, want := range []string{
 		"\nurllangid_http_in_flight 1\n", // the scrape itself
 		"\nurllangid_model_in_flight{model=\"m\"} 0\n",
+		"\nurllangid_http_requests_total{path=\"/v1/classify\",code=\"500\"} 1\n",
+		"\nurllangid_http_requests_total{path=\"/v1/stream\",code=\"500\"} 1\n",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics lacks %q", strings.TrimSpace(want))

@@ -144,15 +144,25 @@ func plainString(b []byte, i int) ([]byte, int) {
 	if i == len(b) || b[i] != '"' {
 		return nil, -1
 	}
-	for j := i + 1; j < len(b); j++ {
-		switch c := b[j]; {
-		case c == '"':
-			return b[i+1 : j], j + 1
-		case c < 0x20 || c > 0x7e || c == '\\':
-			return nil, -1
+	j := i + 1
+	for j < len(b) && byteClass[b[j]]&strPlain != 0 {
+		j++
+	}
+	if j == len(b) || b[j] != '"' {
+		return nil, -1
+	}
+	return b[i+1 : j], j + 1
+}
+
+// plainBytes reports whether every byte of b is strPlain, so that the
+// JSON string "b" decodes to b itself.
+func plainBytes(b []byte) bool {
+	for _, c := range b {
+		if byteClass[c]&strPlain == 0 {
+			return false
 		}
 	}
-	return nil, -1
+	return true
 }
 
 // skipSpace returns the index of the first byte at or after i that is
@@ -178,10 +188,20 @@ func streamLineURL(line []byte) (string, error) {
 // URL, a plain JSON string optionally followed by JSON whitespace, or
 // an object in the strict classify shape with a non-empty "url" (a
 // "urls" key is ignored, as encoding/json ignores it in a stream line).
-// ok is false for anything else.
+// ok is false for anything else. The usual object line, {"url":"…"}
+// with a non-empty plain string and nothing else, is recognised by its
+// fixed prefix and suffix and one scan of the bytes between them.
 func plainStreamLine(line []byte) (url string, ok bool) {
 	switch line[0] {
 	case '{':
+		const prefix, suffix = `{"url":"`, `"}`
+		if n := len(line); n > len(prefix)+len(suffix) &&
+			string(line[:len(prefix)]) == prefix && string(line[n-len(suffix):]) == suffix {
+			u := line[len(prefix) : n-len(suffix)]
+			if plainBytes(u) {
+				return string(u), true
+			}
+		}
 		req, ok := parseClassify(line)
 		return req.URL, ok && req.URL != ""
 	case '"':

@@ -55,44 +55,43 @@ func putEncBuf(eb *encBuf) {
 	encBufPool.Put(eb)
 }
 
-// scoreKeyOrder lists the languages in the alphabetical order of their
-// ISO codes — de, en, es, fr, it — which is the order encoding/json
-// emits the Scores map in.
-var scoreKeyOrder = [langid.NumLanguages]langid.Language{
-	langid.German, langid.English, langid.Spanish, langid.French, langid.Italian,
-}
+// languagesJSON holds, for each of the 32 claim sets a Result can
+// carry, the bytes appendResult writes between the URL and the first
+// score key: the claimed languages' codes in canonical order, as
+// encoding/json writes the Languages slice, and the opening of the
+// Scores map.
+var languagesJSON = func() (t [1 << langid.NumLanguages]string) {
+	for set := range t {
+		b := []byte(`,"languages":[`)
+		for li := 0; li < langid.NumLanguages; li++ {
+			l := langid.Language(li)
+			if !langid.LabelSet(set).Has(l) {
+				continue
+			}
+			if b[len(b)-1] != '[' {
+				b = append(b, ',')
+			}
+			b = append(append(append(b, '"'), l.Code()...), '"')
+		}
+		t[set] = string(append(b, `],"scores":{`...))
+	}
+	return t
+}()
 
 // appendResult appends one Result as a JSON object, byte-identical to
-// json.Marshal(toJSON(r)).
+// json.Marshal(toJSON(r)). The score keys are written in the
+// alphabetical order of the ISO codes — de, en, es, fr, it — which is
+// the order encoding/json emits the Scores map in.
 func appendResult(b []byte, r Result) []byte {
 	b = append(b, `{"url":`...)
 	b = appendJSONString(b, r.URL)
-	b = append(b, `,"languages":[`...)
-	first := true
+	b = append(b, languagesJSON[r.Claims()&(1<<langid.NumLanguages-1)]...)
 	scores := r.Scores()
-	for li := 0; li < langid.NumLanguages; li++ {
-		l := langid.Language(li)
-		if !r.Is(l) {
-			continue
-		}
-		if !first {
-			b = append(b, ',')
-		}
-		first = false
-		b = append(b, '"')
-		b = append(b, l.Code()...)
-		b = append(b, '"')
-	}
-	b = append(b, `],"scores":{`...)
-	for i, l := range scoreKeyOrder {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, '"')
-		b = append(b, l.Code()...)
-		b = append(b, `":`...)
-		b = appendJSONFloat(b, scores[l])
-	}
+	b = appendJSONFloat(append(b, `"de":`...), scores[langid.German])
+	b = appendJSONFloat(append(b, `,"en":`...), scores[langid.English])
+	b = appendJSONFloat(append(b, `,"es":`...), scores[langid.Spanish])
+	b = appendJSONFloat(append(b, `,"fr":`...), scores[langid.French])
+	b = appendJSONFloat(append(b, `,"it":`...), scores[langid.Italian])
 	b = append(b, '}')
 	if r.Cached {
 		b = append(b, `,"cached":true`...)
@@ -100,15 +99,41 @@ func appendResult(b []byte, r Result) []byte {
 	return append(b, '}')
 }
 
+// Byte classes of the codec's string scans: each scan tests a byte
+// with one load from byteClass.
+const (
+	// jsonPlain marks a byte encoding/json writes as itself inside a
+	// string: printable ASCII other than '"', '\\', '<', '>' and '&'
+	// (HTML escaping is on).
+	jsonPlain = 1 << iota
+	// strPlain marks a byte whose JSON string escape is itself, so a
+	// string of such bytes decodes to its raw bytes: printable ASCII
+	// other than '"' and '\\'.
+	strPlain
+)
+
+// byteClass maps each byte to its class bits.
+var byteClass = func() (t [256]uint8) {
+	for c := 0x20; c < 0x7f; c++ {
+		switch c {
+		case '"', '\\':
+		case '<', '>', '&':
+			t[c] = strPlain
+		default:
+			t[c] = jsonPlain | strPlain
+		}
+	}
+	return t
+}()
+
 // appendJSONString appends s as a JSON string exactly as encoding/json
-// would (HTML escaping on). Strings of plain printable ASCII — every
+// would (HTML escaping on). Strings of jsonPlain bytes — every
 // real-world URL — take the in-place fast path; anything needing
 // escapes falls back to encoding/json so the byte-level contract holds
 // without reimplementing its escape table.
 func appendJSONString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+		if byteClass[s[i]]&jsonPlain == 0 {
 			// The escape fallback: URLs with quotes, control bytes or
 			// non-ASCII are not the serving common case.
 			enc, err := json.Marshal(s)

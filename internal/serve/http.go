@@ -136,23 +136,32 @@ func (h *handler) route(mux *http.ServeMux, pattern string, fn http.HandlerFunc)
 	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		h.inFlight.Add(1)
-		// Deferred: a handler that panics (net/http recovers it and
-		// drops the connection) must not leave itself counted.
-		defer h.inFlight.Add(-1)
 		sw := &statusWriter{ResponseWriter: w}
 		var tr *obs.Trace
 		if h.slowLog > 0 {
 			tr = new(obs.Trace)
 			r = r.WithContext(obs.ContextWithTrace(r.Context(), tr))
 		}
+		// Deferred, and without a recover: a handler that panics is
+		// counted like any other request, under 500 whatever it wrote,
+		// while net/http still logs the panic and drops the connection.
+		returned := false
+		defer func() {
+			h.inFlight.Add(-1)
+			code := sw.status()
+			if !returned {
+				code = http.StatusInternalServerError
+			}
+			elapsed := time.Since(start)
+			m.duration.Observe(int64(elapsed))
+			m.codes[code].Inc()
+			if h.slowLog > 0 && elapsed >= h.slowLog {
+				m.slow.Inc()
+				h.slowRequest(r, path, code, elapsed, tr)
+			}
+		}()
 		fn(sw, r)
-		elapsed := time.Since(start)
-		m.duration.Observe(int64(elapsed))
-		m.codes[sw.status()].Inc()
-		if h.slowLog > 0 && elapsed >= h.slowLog {
-			m.slow.Inc()
-			h.slowRequest(r, path, sw.status(), elapsed, tr)
-		}
+		returned = true
 	})
 }
 

@@ -9,8 +9,12 @@ import (
 // FuzzNormalizeInto pins the scratch-buffer fast path to Normalize:
 // identical output on every input, including when the buffer is reused
 // (and therefore dirty) across calls. It also pins the precondition of
-// the compiled snapshots' trigram kernel: every token VisitTokens emits
-// from a normal form's host and path is [a-z]{2,}.
+// the compiled snapshots' trigram and word kernels: every token
+// VisitTokens emits from a normal form's host and path is [a-z]{2,}.
+// And it holds the token visitors to their references: VisitTokens to
+// the two-pass scan on the raw inputs and their normal forms, and
+// VisitNormalizedTokens to SplitNormalized's host tokens, then its path
+// tokens.
 func FuzzNormalizeInto(f *testing.F) {
 	seeds := []string{
 		"http://www.internetwordstats.com/africa2.htm",
@@ -44,7 +48,10 @@ func FuzzNormalizeInto(f *testing.F) {
 			host, path := SplitNormalized(norm)
 			VisitTokens(host, check)
 			VisitTokens(path, check)
+			checkTokenVisitors(t, norm, true)
 		}
+		checkTokenVisitors(t, a, true)
+		checkTokenVisitors(t, b, true)
 	})
 }
 

@@ -318,36 +318,62 @@ func AppendTokens(dst []string, s string) []string {
 // feature extractors and the compiled snapshots are built on. fn must
 // not retain the token past the call if s's backing memory is reused.
 //
+// Each letter run is scanned once: the run's upper-case test rides in
+// the same loop, as an AND of its bytes (a lower-case ASCII letter has
+// bit 0x20 set, an upper-case one clear).
+//
 //urllangid:hotpath
 func VisitTokens(s string, fn func(tok string)) {
-	start := -1
-	flush := func(end int) {
-		if start < 0 {
+	for i := 0; i < len(s); i++ {
+		if !isLetter(s[i]) {
+			continue
+		}
+		start := i
+		all := byte(0xff)
+		for ; i < len(s) && isLetter(s[i]); i++ {
+			all &= s[i]
+		}
+		if i-start < 2 {
+			continue
+		}
+		tok := s[start:i]
+		if all&0x20 == 0 {
+			// Only mixed-case input pays this copy; the normal forms
+			// the serving path tokenises are already lower-case.
+			tok = strings.ToLower(tok) //urllangid:ignore hotpathalloc guarded cold branch, normalized serving input is never upper-case
+		}
+		if !isSpecial(tok) {
+			fn(tok)
+		}
+	}
+}
+
+// VisitNormalizedTokens calls fn once per token of a normal form's
+// host, then once per token of its path: exactly the tokens of
+// VisitTokens over SplitNormalized(norm)'s host and then its path.
+//
+// When the authority (the bytes before the first '/', '?' or '#')
+// holds no '@', ':' or '[', those are the normal form's own tokens:
+// the host is the authority with its surrounding dots trimmed, and
+// neither the dots nor the separator are letters, so no token spans
+// them, so it walks norm once without splitting it; that is the usual
+// crawled URL. Any other normal form splits as SplitNormalized does.
+//
+//urllangid:hotpath
+func VisitNormalizedTokens(norm string, fn func(tok string)) {
+scan:
+	for i := 0; i < len(norm); i++ {
+		switch norm[i] {
+		case '/', '?', '#':
+			break scan
+		case '@', ':', '[':
+			host, path := SplitNormalized(norm)
+			VisitTokens(host, fn)
+			VisitTokens(path, fn)
 			return
 		}
-		if end-start >= 2 {
-			tok := s[start:end]
-			if hasUpperASCII(tok) {
-				// Only mixed-case input pays this copy; the normal forms
-				// the serving path tokenises are already lower-case.
-				tok = strings.ToLower(tok) //urllangid:ignore hotpathalloc guarded cold branch, normalized serving input is never upper-case
-			}
-			if !isSpecial(tok) {
-				fn(tok)
-			}
-		}
-		start = -1
 	}
-	for i := 0; i < len(s); i++ {
-		if isLetter(s[i]) {
-			if start < 0 {
-				start = i
-			}
-		} else {
-			flush(i)
-		}
-	}
-	flush(len(s))
+	VisitTokens(norm, fn)
 }
 
 // VisitHostLabels calls fn once per dot-separated label of host, in
@@ -386,19 +412,11 @@ func LastLabel(host string) string {
 	return host
 }
 
+// isLetter reports whether c is an ASCII letter, in one compare:
+// c|0x20 folds 'A'..'Z' onto 'a'..'z', and the unsigned subtraction
+// wraps every byte below 'a' past 25.
 func isLetter(c byte) bool {
-	return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-}
-
-// hasUpperASCII reports whether s contains an upper-case ASCII letter —
-// the only case where tokenisation must pay for a lowered copy.
-func hasUpperASCII(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= 'A' && s[i] <= 'Z' {
-			return true
-		}
-	}
-	return false
+	return (c|0x20)-'a' < 26
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
