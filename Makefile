@@ -25,7 +25,9 @@ ESCAPE_GO_VERSION ?= go1.24
 # Fuzz targets guarding the urlx normalization contract; go test only
 # accepts one -fuzz pattern per invocation, so the smoke loops. The root
 # package adds the snapshot-equivalence differential (classifier vs
-# compiled snapshot, every compiled family, bit-identical), the flat
+# compiled snapshot, bit-identical, for every compiled family and every
+# finalisation of the token families' ID bitmap: NB, ME and RE scores
+# read straight from it, decision-tree and kNN vectors read out), the flat
 # package fuzzes the v3 container parser (bad offsets, overlapping
 # sections, oversize lengths must reject cleanly, never read OOB), and
 # the modelfile package fuzzes ReadBytes, the reader every model file
@@ -158,7 +160,7 @@ api-check:
 	rm -f $(API_SURFACE).tmp
 
 bench:
-	$(GO) test -run NONE -bench 'Predict|Classify|Batcher|Extract|ParseURL|Normalize' -benchmem .
+	$(GO) test -run NONE -bench 'Predict|Classify|Cascade|Batcher|Extract|ParseURL|Normalize' -benchmem .
 	$(GO) test -run NONE -bench . -benchmem ./internal/serve
 
 fuzz:

@@ -19,6 +19,8 @@ import (
 	"testing"
 
 	"urllangid"
+	"urllangid/internal/calib"
+	"urllangid/internal/cascade"
 	"urllangid/internal/compiled"
 	"urllangid/internal/core"
 	"urllangid/internal/datagen"
@@ -454,13 +456,18 @@ func BenchmarkPredictSnapshotScoresTrigram(b *testing.B) {
 	}
 }
 
-// wcURLs holds 4,096 generated web-crawl URLs (datagen WC, seed 41):
-// the token mix of a crawl frontier, where servingURLs repeats one
-// template's five tokens.
-var wcURLs = sync.OnceValue(func() []string {
+// wcSamples holds 4,096 generated, labeled web-crawl URLs (datagen WC,
+// seed 41): the token mix of a crawl frontier, where servingURLs
+// repeats one template's five tokens.
+var wcSamples = sync.OnceValue(func() []langid.Sample {
 	ds := datagen.Generate(datagen.Config{Kind: datagen.WC, Seed: 41, TestPerLang: 4096 / langid.NumLanguages})
-	urls := make([]string, 0, 4096)
-	for _, s := range ds.Test[:4096] {
+	return ds.Test[:4096]
+})
+
+// wcURLs holds the URLs of wcSamples.
+var wcURLs = sync.OnceValue(func() []string {
+	urls := make([]string, 0, len(wcSamples()))
+	for _, s := range wcSamples() {
 		urls = append(urls, s.URL)
 	}
 	return urls
@@ -499,6 +506,61 @@ func benchSnapshotWC(b *testing.B, kind features.Kind) {
 			_ = snap.ScoresForKey(keys[i%len(keys)])
 		}
 	})
+}
+
+// BenchmarkCascadeScoresWC prices the cascade against its slow tier
+// served alone, over wcSamples. "cascade" scores each URL through
+// cascade.New with its default threshold and confusable pairs, over an
+// NB/word fast tier calibrated on the held-out ODP test set and an
+// NB/trigram slow tier; "slow-only" scores it on the NB/trigram tier.
+// Each reports its macro-F over the URLs' labels, and the cascade the
+// share of URLs it escalates.
+func BenchmarkCascadeScoresWC(b *testing.B) {
+	_, fast := benchSystemAndSnapshot(b, features.Words)
+	_, slow := benchSystemAndSnapshot(b, features.Trigrams)
+	cal, _, err := calib.FitEval(fast.Scores, env(b).Dataset(datagen.ODP).Test, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fast.SetCalibration(cal)
+	samples := wcSamples()
+	// A cascade of its own scores the samples once, so its counters
+	// give the escalation ratio over exactly these URLs.
+	ref := cascade.New(fast, slow, cascade.Config{})
+	cascadeF := macroFOf(ref, samples)
+	escalation := ref.TierStats().EscalationRate()
+	for _, side := range []struct {
+		name   string
+		p      cascade.Predictor
+		macroF float64
+	}{
+		{"cascade", cascade.New(fast, slow, cascade.Config{}), cascadeF},
+		{"slow-only", slow, macroFOf(slow, samples)},
+	} {
+		b.Run(side.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = side.p.Scores(samples[i%len(samples)].URL)
+			}
+			b.ReportMetric(side.macroF, "macroF")
+			if side.name == "cascade" {
+				b.ReportMetric(escalation, "escalation-ratio")
+			}
+		})
+	}
+}
+
+// macroFOf is p's macro-averaged F over samples, its binary decisions
+// read from the signs of its scores.
+func macroFOf(p cascade.Predictor, samples []langid.Sample) float64 {
+	return experiments.Evaluate(func(parts urlx.Parts) [langid.NumLanguages]bool {
+		r := langid.NewResult(p.Scores(parts.Raw))
+		var yes [langid.NumLanguages]bool
+		for li := range yes {
+			yes[li] = r.Is(langid.Language(li))
+		}
+		return yes
+	}, samples).MacroF()
 }
 
 // BenchmarkPredictSnapshotScoresRewrite is the same hot path fed URLs

@@ -1,10 +1,12 @@
 package urllangid_test
 
 // FuzzSnapshotEquivalence is the universal-compilation differential
-// harness: for one representative configuration per compiled family
-// (linear, custom, dtree, knn, tld), plus NB/trigram, whose snapshot
-// scores through the trigram kernel, a trained Classifier and its
-// compiled Snapshot must classify every input — however malformed —
+// harness. It trains one representative configuration per compiled
+// family (linear, custom, dtree, knn, tld), plus one per finalisation
+// of the token families' ID bitmap: NB/word, ME/word, NB/trigram and
+// RE/trigram read the bitmap straight into their scores, and DT/word
+// and kNN/word read it out as a vector. Each trained Classifier and its
+// compiled Snapshot must classify every input, however malformed,
 // bit-identically. This is the fuzzing arm of the golden equivalence
 // matrix, wired into `make fuzz-smoke` alongside the urlx targets.
 
@@ -18,17 +20,22 @@ import (
 )
 
 // fuzzFamilies names one configuration per compiled mode, plus the
-// trigram kernel, with the mode each must compile to. kNN keeps the
-// reference sets small through the corpus size, so per-input scoring
-// stays fuzz-friendly.
+// trigram kernel and the token finalisations (ME's bias, RE's mass
+// division and empty-vector answer, the decision tree's vector
+// readout), with the mode each must compile to. kNN keeps the reference
+// sets small through the corpus size, and ME trains four iterations, so
+// per-input scoring and set-up stay fuzz-friendly.
 var fuzzFamilies = []struct {
 	name, mode string
 	opts       urllangid.Options
 }{
 	{"linear", "linear", urllangid.Options{Seed: 3}},
 	{"trigram", "linear", urllangid.Options{Seed: 3, Features: urllangid.TrigramFeatures}},
+	{"maxent-word", "linear", urllangid.Options{Seed: 3, Algorithm: urllangid.MaximumEntropy, MaxEntIterations: 4}},
+	{"relent-trigram", "linear", urllangid.Options{Seed: 3, Algorithm: urllangid.RelativeEntropy, Features: urllangid.TrigramFeatures}},
 	{"custom", "custom", urllangid.Options{Seed: 3, Features: urllangid.CustomFeatures}},
 	{"dtree", "dtree", urllangid.Options{Seed: 3, Algorithm: urllangid.DecisionTree, Features: urllangid.CustomFeatures}},
+	{"dtree-word", "dtree", urllangid.Options{Seed: 3, Algorithm: urllangid.DecisionTree}},
 	{"knn", "knn", urllangid.Options{Seed: 3, Algorithm: urllangid.KNN}},
 	{"tld", "tld", urllangid.Options{Algorithm: urllangid.CcTLDPlus}},
 }

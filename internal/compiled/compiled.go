@@ -42,7 +42,6 @@ import (
 	"urllangid/internal/strtab"
 	"urllangid/internal/tldbase"
 	"urllangid/internal/urlx"
-	"urllangid/internal/vecspace"
 )
 
 // mode selects the compiled scoring strategy. The numbering is part of
@@ -122,39 +121,38 @@ type Snapshot struct {
 }
 
 // scratch holds the per-call buffers of the scoring hot path. All
-// feature state — the rewritten normal form, token IDs, run-length
-// encoded counts, the dense custom vector, kNN candidate hits — lives
-// here, so a warmed pool serves any URL without touching the heap.
+// feature state — the rewritten normal form, the token families' ID
+// bitmap, the dense custom vector, kNN candidate hits — lives here, so
+// a warmed pool serves any URL without touching the heap.
 type scratch struct {
 	// norm backs urlx.NormalizeInto: URLs that need byte rewriting
 	// (escapes, uppercase) normalize into this reused buffer. Tokens and
 	// everything derived from them alias it (or the raw URL) and are
 	// only valid until the next use of the same scratch.
 	norm []byte
-	ids  []uint32 // raw token IDs before run-length encoding
-	// feat holds the custom-extraction buffers and the run-length
-	// encoder output (features.Scratch.Runs) the modes score from.
+	// feat holds the custom families' extraction buffers.
 	feat features.Scratch
 	hits []knnHit
-	// marks (one bit per ID) and counts (one per ID) are the trigram
-	// kernel's bitmap, sized by newScratch and all zero between calls;
-	// idx and val hold the vector it reads out of them.
-	marks  []uint64
-	counts []uint32
-	idx    []uint32
-	val    []float32
+	// summary, marks and counts are the token families' ID bitmap (see
+	// bitmap.go), sized by newScratch and all zero between calls; idx
+	// and val hold the vector the decision-tree and kNN modes read out
+	// of it.
+	summary []uint64
+	marks   []uint64
+	counts  []uint32
+	idx     []uint32
+	val     []float32
 }
 
-// newScratch is the scratch pool's constructor. A trigram-kernel
-// snapshot's scratch gets its bitmap here, off the scoring path: dim
-// bits and dim uint32 counts (a trained trigram vocabulary has at most
-// 27³ entries, so at most 308 words and 77 KB). The counts are uint32
-// because a /v1/stream line may be a mebibyte long.
+// newScratch is the scratch pool's constructor. A token-family
+// snapshot's scratch gets its bitmap here, off the scoring path: per
+// vocabulary ID a bit, 1/64 of a summary bit and a uint32 count, about
+// 30 KB for a 7,230-word vocabulary. The counts are uint32 because a
+// /v1/stream line may be a mebibyte long.
 func (s *Snapshot) newScratch() any {
 	sc := new(scratch)
-	if s.tri != nil {
-		sc.marks = make([]uint64, (s.dim+63)/64)
-		sc.counts = make([]uint32, s.dim)
+	if s.mode != modeTLD && !s.isCustom() {
+		sc.newBitmap(s.dim)
 	}
 	return sc
 }
@@ -304,12 +302,12 @@ func (s *Snapshot) CacheKey(rawURL string) string {
 func (s *Snapshot) ScoresInto(out *[langid.NumLanguages]float64, rawURL string) {
 	s.ensureVerified()
 	sc := s.pool.Get().(*scratch)
-	defer s.pool.Put(sc)
-	if s.keyedByRaw() {
-		*out = s.scoreInput(rawURL, sc)
-		return
+	input := rawURL
+	if !s.keyedByRaw() {
+		input = urlx.NormalizeInto(&sc.norm, rawURL)
 	}
-	*out = s.scoreInput(urlx.NormalizeInto(&sc.norm, rawURL), sc)
+	*out = s.scoreInput(input, sc)
+	s.pool.Put(sc)
 }
 
 // Scores returns the five per-language decision scores for rawURL; see
@@ -353,26 +351,28 @@ func (s *Snapshot) Classify(rawURL string) langid.Result {
 func (s *Snapshot) ScoresForKey(key string) [langid.NumLanguages]float64 {
 	s.ensureVerified()
 	sc := s.pool.Get().(*scratch)
-	defer s.pool.Put(sc)
-	return s.scoreInput(key, sc)
+	out := s.scoreInput(key, sc)
+	s.pool.Put(sc)
+	return out
 }
 
 // scoreInput runs the compiled path over input — the raw URL for
 // raw-keyed snapshots, the normal form otherwise. input may alias
 // sc.norm, so sc's normalization buffer must not be reused until the
-// scores are computed.
+// scores are computed. Its callers put sc back in the pool only when
+// it returns: a scoring call that panics may leave IDs marked in sc's
+// bitmap, and the next call on sc would score them.
 func (s *Snapshot) scoreInput(input string, sc *scratch) [langid.NumLanguages]float64 {
 	if s.mode == modeTLD {
 		return s.tldScores(input)
 	}
 
-	// Feature extraction through the streaming layer: the custom
-	// families extract densely (the tree walk reads the dense form
-	// directly; the other modes score its sparse compression), the
-	// normal-form trigram family runs the trigram kernel, the word
-	// family streams IDs through the word index and the raw-trigram
-	// family through the string table, both into the shared run-length
-	// encoder.
+	// The custom families extract densely through the streaming layer
+	// (the tree walk reads the dense form directly; the other modes
+	// score its sparse compression). The token families mark their IDs
+	// in the scratch's bitmap: words through the word index, normal-form
+	// trigrams through the trigram kernel, raw trigrams through the
+	// string table.
 	if s.isCustom() {
 		if s.mode == modeDTree {
 			return s.dtreeScores(s.custom.ExtractDense(&sc.feat, input), nil, nil)
@@ -384,30 +384,33 @@ func (s *Snapshot) scoreInput(input string, sc *scratch) [langid.NumLanguages]fl
 		return s.linearScores(sp.Idx, sp.Val)
 	}
 
-	var sp vecspace.Sparse
-	if s.kind == features.Trigrams && !s.raw {
-		sp = s.trigramRuns(input, sc)
-	} else {
-		sc.ids = sc.ids[:0]
-		if s.raw {
-			features.VisitRawTrigrams(input, func(g string) {
-				if id, ok := s.table.Lookup(g); ok {
-					sc.ids = append(sc.ids, id)
-				}
-			})
-		} else {
-			s.collectTokens(input, sc)
-		}
-		sp = sc.feat.Runs(sc.ids)
-	}
-
+	s.collect(input, sc)
 	switch s.mode {
 	case modeDTree:
-		return s.dtreeScores(nil, sp.Idx, sp.Val)
+		idx, val := sc.vector()
+		return s.dtreeScores(nil, idx, val)
 	case modeKNN:
-		return s.knnScores(sp.Idx, sp.Val, sc)
+		idx, val := sc.vector()
+		return s.knnScores(idx, val, sc)
 	default:
-		return s.linearScores(sp.Idx, sp.Val)
+		return s.tokenScores(sc)
+	}
+}
+
+// collect marks the IDs of a token-family snapshot's features of input
+// in sc's bitmap.
+func (s *Snapshot) collect(input string, sc *scratch) {
+	switch {
+	case s.raw:
+		features.VisitRawTrigrams(input, func(g string) {
+			if id, ok := s.table.Lookup(g); ok {
+				sc.mark(id)
+			}
+		})
+	case s.kind == features.Trigrams:
+		s.collectTrigrams(input, sc)
+	default:
+		s.collectTokens(input, sc)
 	}
 }
 

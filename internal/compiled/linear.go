@@ -5,9 +5,11 @@ package compiled
 // score finalisation (prior first, bias last, mass-normalised with a
 // margin). Each mode replays the exact accumulation order of the source
 // model — ascending feature index, identical float64 operations — which
-// is what keeps snapshot scores bit-identical. The same scorer serves
-// both the token families (values are occurrence counts) and the custom
-// families (values are the nonzero dense features).
+// is what keeps snapshot scores bit-identical. linearScores finalises
+// the custom families' sparse vectors (values are the nonzero dense
+// features); the token families (values are occurrence counts) replay
+// the same operations straight from their ID bitmap (tokenScores in
+// bitmap.go).
 
 import (
 	"fmt"
@@ -81,8 +83,9 @@ func compileLinear(sys *core.System, dim int) (compiledLinear, error) {
 	return m, nil
 }
 
-// linearScores finalises a sparse feature vector (ascending unique
-// indices with float32 values) under the compiled linear mode.
+// linearScores finalises a custom family's sparse feature vector
+// (ascending unique indices with float32 values) under the compiled
+// linear mode.
 func (s *Snapshot) linearScores(idx []uint32, val []float32) [langid.NumLanguages]float64 {
 	var out [langid.NumLanguages]float64
 	switch s.mode {

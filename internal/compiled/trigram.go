@@ -1,23 +1,18 @@
 package compiled
 
 // The trigram kernel: a normal-form trigram snapshot turns a URL into
-// its sparse trigram vector without hashing, probing, comparing or
-// sorting a single gram. Every token urlx.VisitNormalizedTokens emits is
-// [a-z]{2,}, so each padded trigram of ' '+token+' ' is three base-27
-// digits (' ' is 0, 'a'..'z' are 1..26). A rolling code walks the token
-// once; a dense index derived from the string table turns each code
-// into the table's ID; a bitmap with per-ID counts collects the IDs and
-// is read out in ascending order. The vector is the one
-// features.Scratch.Runs builds from the same IDs — ascending unique
-// indices, float32 counts — so every mode scores it bit-identically.
+// its trigram IDs without hashing, probing or comparing a single gram.
+// Every token urlx.VisitNormalizedTokens emits is [a-z]{2,}, so each
+// padded trigram of ' '+token+' ' is three base-27 digits (' ' is 0,
+// 'a'..'z' are 1..26). A rolling code walks the token once, and a dense
+// index derived from the string table turns each code into the table's
+// ID, which goes into the scratch's ID bitmap (bitmap.go).
 
 import (
-	"math/bits"
 	"strings"
 
 	"urllangid/internal/strtab"
 	"urllangid/internal/urlx"
-	"urllangid/internal/vecspace"
 )
 
 // trigramAlphabet lists the base-27 digits in order: a padded trigram
@@ -58,12 +53,11 @@ func buildTrigramIndex(t *strtab.Table) *trigramIndex {
 	return ix
 }
 
-// trigramRuns is the kernel: the sparse trigram vector of a URL in
-// normal form, aliasing sc. It clears each bitmap word and count as it
-// reads them out, so the scratch goes back to the pool zeroed.
+// collectTrigrams marks the IDs of the padded trigrams of a URL in
+// normal form in sc's bitmap.
 //
 //urllangid:hotpath
-func (s *Snapshot) trigramRuns(norm string, sc *scratch) vecspace.Sparse {
+func (s *Snapshot) collectTrigrams(norm string, sc *scratch) {
 	urlx.VisitNormalizedTokens(norm, func(tok string) {
 		code := uint32(tok[0] - 'a' + 1)
 		for i := 1; i <= len(tok); i++ {
@@ -73,25 +67,8 @@ func (s *Snapshot) trigramRuns(norm string, sc *scratch) vecspace.Sparse {
 			}
 			code = code%(27*27)*27 + d
 			if id := s.tri[code]; id != 0 {
-				id--
-				sc.counts[id]++
-				sc.marks[id/64] |= 1 << (id % 64)
+				sc.mark(id - 1)
 			}
 		}
 	})
-
-	sc.idx, sc.val = sc.idx[:0], sc.val[:0]
-	for w, word := range sc.marks {
-		if word == 0 {
-			continue
-		}
-		sc.marks[w] = 0
-		for ; word != 0; word &= word - 1 {
-			id := uint32(w*64 + bits.TrailingZeros64(word))
-			sc.idx = append(sc.idx, id)
-			sc.val = append(sc.val, float32(sc.counts[id]))
-			sc.counts[id] = 0
-		}
-	}
-	return vecspace.Sparse{Idx: sc.idx, Val: sc.val}
 }

@@ -2,14 +2,11 @@ package compiled
 
 import (
 	"bytes"
-	"slices"
 	"testing"
 
 	"urllangid/internal/core"
 	"urllangid/internal/features"
 	"urllangid/internal/modelfile/flat"
-	"urllangid/internal/ngram"
-	"urllangid/internal/urlx"
 )
 
 // reloadFlat writes snap as a flat container and loads it back,
@@ -78,46 +75,6 @@ func TestTrigramIndexMatchesTable(t *testing.T) {
 		}
 		if s.tri != nil || r.tri != nil {
 			t.Errorf("%s built a trigram index", cfg.Describe())
-		}
-	}
-}
-
-// TestTrigramKernelMatchesRuns compares the kernel's vector with the
-// one features.Scratch.Runs encodes from the IDs of the padded trigrams
-// of the same tokens, and checks that each call leaves its scratch's
-// bitmap and counts zeroed.
-func TestTrigramKernelMatchesRuns(t *testing.T) {
-	train, probes := corpusEnv(t)
-	snap := FromSystem(trainSystem(t, core.Config{Algo: core.NaiveBayes, Features: features.Trigrams, Seed: 1}, train))
-	probes = append(probes,
-		"http://aa.bb/zz-yy/aaaa",
-		"http://www.aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa.de/",
-	)
-	sc := snap.newScratch().(*scratch)
-	var ref features.Scratch
-	var pad []byte
-	for _, u := range probes {
-		norm := urlx.Normalize(u)
-		var ids []uint32
-		host, path := urlx.SplitNormalized(norm)
-		collect := func(tok string) {
-			ngram.VisitTrigrams(&pad, tok, func(g string) {
-				if id, ok := snap.table.Lookup(g); ok {
-					ids = append(ids, id)
-				}
-			})
-		}
-		urlx.VisitTokens(host, collect)
-		urlx.VisitTokens(path, collect)
-		want := ref.Runs(ids)
-
-		got := snap.trigramRuns(norm, sc)
-		if !slices.Equal(got.Idx, want.Idx) || !slices.Equal(got.Val, want.Val) {
-			t.Fatalf("%q: kernel gives %v %v, Runs gives %v %v", u, got.Idx, got.Val, want.Idx, want.Val)
-		}
-		if slices.ContainsFunc(sc.marks, func(w uint64) bool { return w != 0 }) ||
-			slices.ContainsFunc(sc.counts, func(c uint32) bool { return c != 0 }) {
-			t.Fatalf("%q: the kernel left marks or counts set in its scratch", u)
 		}
 	}
 }

@@ -10,8 +10,8 @@ package compiled
 // 64-bit hash of its bytes with the low byte cleared, which no packed
 // word has (its low byte is its first letter); a slot whose key and
 // length match is confirmed against the table's blob. The index stores
-// the table's own IDs, so the vector features.Scratch.Runs builds is
-// the one the table would give, and every mode scores it bit-identically.
+// the table's own IDs, which go into the scratch's ID bitmap
+// (bitmap.go) as the table would give them.
 
 import (
 	"math/bits"
@@ -186,15 +186,15 @@ func load64(s string) uint64 {
 		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }
 
-// collectTokens streams the tokens of a URL in normal form into sc.ids
-// through the word index.
+// collectTokens marks the IDs of the tokens of a URL in normal form in
+// sc's bitmap, resolving them through the word index.
 //
 //urllangid:hotpath
 func (s *Snapshot) collectTokens(norm string, sc *scratch) {
 	ix := s.words
 	urlx.VisitNormalizedTokens(norm, func(tok string) {
 		if id, ok := ix.lookup(tok); ok {
-			sc.ids = append(sc.ids, id)
+			sc.mark(id)
 		}
 	})
 }

@@ -44,10 +44,9 @@ func (sc *Scratch) runs() vecspace.Sparse {
 // scratch's index/value buffers: one entry per unique ID with its
 // occurrence count as a float32 — exactly the vector the map-backed
 // Builder would freeze from repeated Add(id, 1) calls. The result
-// aliases sc. Exported for the compiled snapshots, whose token
-// pipeline collects IDs through its own string table but must encode
-// them with this identical invariant (ascending unique indices,
-// float32 counts) to stay bit-identical with the model path.
+// aliases sc. It is the reference encoding of the model path: the
+// compiled snapshots' kernel tests hold the vectors and scores their
+// ID bitmaps read out to the vector Runs gives for the same IDs.
 //
 //urllangid:hotpath
 func (sc *Scratch) Runs(ids []uint32) vecspace.Sparse {

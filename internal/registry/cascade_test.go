@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"urllangid/internal/cascade"
 	"urllangid/internal/compiled"
@@ -607,5 +608,126 @@ func TestCascadeBothTierSwapStress(t *testing.T) {
 	}
 	if failures.Load() > 0 {
 		t.Fatalf("closer misuse: %v", firstErr.Load())
+	}
+}
+
+// TestCascadeReinstallDuringTierSwaps re-installs a cascade in a loop
+// while two loops swap its tiers and three goroutines lease the cascade
+// and both tiers. Every tier swap rebuilds the cascade, which holds the
+// cascade slot's mu while its tier leases take Registry.mu (a read lock,
+// inside Acquire). An install that took the slot's mu under Registry.mu
+// could then deadlock with the rebuild (row K1′ of DESIGN.md §6), so a
+// watchdog fails the test when none of the three loops finishes a
+// round for ten seconds.
+func TestCascadeReinstallDuringTierSwaps(t *testing.T) {
+	fastModels := [2]*compiled.Snapshot{
+		compiled.FromSystem(trainSystem(t, 51)),
+		compiled.FromSystem(trainSystem(t, 61)),
+	}
+	slowModels := [2]*compiled.Snapshot{
+		compiled.FromSystem(trainSystem(t, 31)),
+		compiled.FromSystem(trainSystem(t, 41)),
+	}
+	reg := New(Options{Engine: serve.Options{Workers: 1}})
+	install := func(name string, snap *compiled.Snapshot) error {
+		_, err := reg.Install(name, snap, snap.Describe(), snap.Mode())
+		return err
+	}
+	reinstall := func() error {
+		_, err := reg.InstallCascade("casc", "fast", "slow", cascade.Config{})
+		return err
+	}
+	if err := install("fast", fastModels[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := install("slow", slowModels[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := reinstall(); err != nil {
+		t.Fatal(err)
+	}
+
+	var (
+		stop     atomic.Bool
+		rounds   atomic.Int64 // rounds the three loops have finished
+		failures atomic.Int64
+		firstErr atomic.Value
+	)
+	fail := func(format string, args ...any) {
+		failures.Add(1)
+		firstErr.CompareAndSwap(nil, fmt.Sprintf(format, args...))
+	}
+	var leasing sync.WaitGroup
+	for _, name := range []string{"casc", "fast", "slow"} {
+		leasing.Add(1)
+		go func() {
+			defer leasing.Done()
+			for i := 0; !stop.Load(); i++ {
+				l, err := reg.Acquire(name)
+				if err != nil {
+					fail("Acquire(%q): %v", name, err)
+					return
+				}
+				l.Engine().Classify(cascadeProbes[i%len(cascadeProbes)])
+				l.Release()
+			}
+		}()
+	}
+
+	const perLoop = 300
+	var looping sync.WaitGroup
+	for _, loop := range []struct {
+		name string
+		do   func(i int) error
+	}{
+		{"cascade install", func(int) error { return reinstall() }},
+		{"fast swap", func(i int) error { return install("fast", fastModels[i%2]) }},
+		{"slow swap", func(i int) error { return install("slow", slowModels[i%2]) }},
+	} {
+		looping.Add(1)
+		go func() {
+			defer looping.Done()
+			for i := 1; i <= perLoop; i++ {
+				if err := loop.do(i); err != nil {
+					fail("%s %d: %v", loop.name, i, err)
+					return
+				}
+				rounds.Add(1)
+			}
+		}()
+	}
+	finished := make(chan struct{})
+	go func() {
+		looping.Wait()
+		close(finished)
+	}()
+
+	const stall = 10 * time.Second
+	watchdog := time.NewTicker(stall)
+	defer watchdog.Stop()
+	for last, done := int64(0), false; !done; {
+		select {
+		case <-finished:
+			done = true
+		case <-watchdog.C:
+			now := rounds.Load()
+			if now == last {
+				stop.Store(true)
+				// Close would block on the same locks, so the stalled
+				// goroutines are left as they are.
+				buf := make([]byte, 64<<10)
+				t.Fatalf("no install or swap finished in %v after %d of %d rounds: deadlock\n%s",
+					stall, now, 3*perLoop, buf[:runtime.Stack(buf, true)])
+			}
+			last = now
+		}
+	}
+	stop.Store(true)
+	leasing.Wait()
+	if failures.Load() > 0 {
+		t.Fatalf("%d failures (first: %v)", failures.Load(), firstErr.Load())
+	}
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
